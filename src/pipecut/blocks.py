@@ -6,8 +6,10 @@ that revisits every recorded merge and moves one side next door when that
 strictly lowers cross-block traffic, and a final compaction that folds
 leftover groups together whenever coarsening stalled short of the target.
 
-Every group must fit device memory at microbatch 1 with checkpointing on;
-that is the floor any later stage assignment has to clear as well.
+Every group must fit device memory (`CostModel.fits`) at microbatch 1 with
+checkpointing on; that is the floor any later stage assignment has to clear
+as well. The resulting `BlockSet` owns the memoized span profiles and the
+boundary transfer times that stage search, plan checking and replay share.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ class _Grouping:
         return cached
 
     def fits(self, group: tuple[int, ...]) -> bool:
-        return self.mem(group) < self.budget
+        return self.model.fits(self.mem(group))
 
     def traffic(self, block_of: dict[int, int]) -> int:
         """Bytes per sample shipped between blocks, one copy per foreign block."""
@@ -304,6 +306,8 @@ class BlockSet:
     _cut_fixed: list[int] = field(default_factory=list, repr=False)
     _cut_per_sample: list[float] = field(default_factory=list, repr=False)
     _span_cache: dict[tuple[int, int], Subcomponent] = field(default_factory=dict, repr=False)
+    _profile_cache: dict[tuple[int, int, int, bool], CostRecord] = field(
+        default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.blocks)
@@ -342,6 +346,29 @@ class BlockSet:
             self._span_cache[key] = sub
         return sub
 
+    def profile(self, lo: int, hi: int, microbatch: int, ckpt: bool) -> CostRecord:
+        """Profile of blocks [lo, hi), memoized for the life of the block set."""
+        key = (lo, hi, microbatch, ckpt)
+        rec = self._profile_cache.get(key)
+        if rec is None:
+            rec = self.model.profile(self.span(lo, hi), microbatch,
+                                     checkpointing=ckpt)
+            self._profile_cache[key] = rec
+        return rec
+
+    def cut_time(self, cut: int, microbatch: int, cum_devices: int) -> float:
+        """Transfer time of the boundary at `cut` for one microbatch slice.
+
+        The cut sits between cumulative device cum_devices and the next one;
+        with contiguous placement it crosses nodes exactly when that count is
+        a whole number of nodes.
+        """
+        cluster = self.model.cluster
+        inter = (cluster.num_nodes > 1
+                 and cum_devices % cluster.devices_per_node == 0)
+        return self.model.comm_time(self.boundary_bytes(cut, microbatch),
+                                    inter_node=inter)
+
     def to_json(self) -> dict:
         return {
             "num_blocks": len(self.blocks),
@@ -364,9 +391,8 @@ def partition_blocks(partition: AtomicPartition, model: CostModel, k: int = 32) 
         raise ValueError("k must be at least 1")
     ctx = _Grouping(partition, model)
     for i, atom in enumerate(partition.atoms):
-        mem = ctx.mem((i,))
-        if mem >= ctx.budget:
-            raise InfeasibleAtom(atom.id, mem, ctx.budget)
+        if not ctx.fits((i,)):
+            raise InfeasibleAtom(atom.id, ctx.mem((i,)), ctx.budget)
 
     levels: list[list[tuple[int, ...]]] = [[(i,) for i in range(ctx.n_atoms)]]
     transitions: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []

@@ -53,7 +53,6 @@ class RunConfig:
     out: str = "."
     k: int = 32
     batch_size: int = 32
-    seed: int = 0
     checkpointing: bool = True
     disable_pruning: bool = False
     oracle_check: bool = False
@@ -89,7 +88,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=int(_env("K", "32")))
     p.add_argument("--batch-size", type=int,
                    default=int(_env("BATCH_SIZE", "32")))
-    p.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
     p.add_argument("--checkpointing", choices=["on", "off"],
                    default=_env("CHECKPOINTING", "on"))
     p.add_argument("--out", default=_env("OUT", "."))
@@ -153,7 +151,6 @@ def _run_config(args) -> RunConfig:
         out=args.out,
         k=args.k,
         batch_size=args.batch_size,
-        seed=args.seed,
         checkpointing=args.checkpointing == "on",
         disable_pruning=getattr(args, "disable_pruning", False),
         oracle_check=getattr(args, "oracle_check", False),
@@ -257,7 +254,7 @@ def cmd_partition(args) -> int:
         f"cluster: {cluster.num_nodes} node(s) x {cluster.devices_per_node} "
         f"device(s), {cluster.device_memory_bytes} bytes each",
         f"batch_size: {cfg.batch_size}  k: {cfg.k}  checkpointing: "
-        f"{'on' if cfg.checkpointing else 'off'}  seed: {cfg.seed}",
+        f"{'on' if cfg.checkpointing else 'off'}",
         f"blocks: {len(blocks.blocks)}  search_visits: {result.stats.visits}  "
         f"dp_calls: {result.stats.dp_calls}  oracle_check: {oracle_note}",
         "",

@@ -159,6 +159,10 @@ class CostModel:
                   + activations)
         return CostRecord(t_fwd_sec=t_fwd, t_bwd_sec=t_bwd, mem_bytes=mem)
 
+    def fits(self, mem_bytes: int) -> bool:
+        """The one memory rule for blocks and stages: strictly under a device."""
+        return mem_bytes < self.cluster.device_memory_bytes
+
     def comm_time(self, nbytes: int, inter_node: bool = False) -> float:
         bw = self.cluster.bw_inter if inter_node else self.cluster.bw_intra
         return comm_time(nbytes, bw, self.cluster.link_latency_sec)

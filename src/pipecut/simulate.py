@@ -1,12 +1,10 @@
-"""Event-level replay of a plan under synchronous pipeline training.
+"""Event-level schedule of a plan under synchronous pipeline training.
 
-One iteration runs every microbatch forward through the stages in order,
-then backward in reverse microbatch order, then a gradient sync on every
-stage whose parameters live on more than one device. Devices never overlap
-their own work; sends occupy the sending device, so a stage's cadence
-matches the planner's charged stage time. All pipeline replicas behave
-identically, so one replica's device lanes are simulated and the replica
-count only enters the gradient sync.
+The fill-drain replay itself, and the stage-cost rule it charges sends by,
+live in `stages` next to `Plan`, where the planner ranks its candidates with
+them. `simulate` validates a plan, replays it, and spreads each stage lane
+over the stage's devices as one `Event` per device and phase, for reporting
+and `render_gantt`.
 """
 
 from __future__ import annotations
@@ -14,15 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import BlockSet
-from .stages import Plan, _Profiler, validate_plan
+from .stages import InvalidPlan, Plan, replay, validate_plan
 
 PHASES = ("fwd", "recompute", "bwd", "comm", "allreduce")
-
-
-class InvalidPlan(ValueError):
-    def __init__(self, violations):
-        super().__init__("; ".join(v.detail for v in violations))
-        self.violations = tuple(violations)
 
 
 @dataclass(frozen=True)
@@ -65,113 +57,23 @@ def throughput(schedule: Schedule, batch_size: int) -> float:
     return batch_size / schedule.iteration_time_sec
 
 
-def _span_param_bytes(blocks: BlockSet, lo: int, hi: int) -> int:
-    graph = blocks.model.graph
-    sub = blocks.span(lo, hi)
-    total = 0
-    for nid in sub.node_ids:
-        node = graph.nodes[nid]
-        if node.is_value and node.value.is_param:
-            total += node.value.fixed_bytes
-    return total
-
-
 def simulate(plan: Plan, blocks: BlockSet) -> Schedule:
     violations = validate_plan(plan, blocks)
     if violations:
         raise InvalidPlan(violations)
+    iteration, lanes = replay(plan, blocks)
 
-    model = blocks.model
-    cluster = model.cluster
-    nb = len(blocks)
-    S = len(plan.stages)
-    MB = plan.microbatches
-    R = plan.replica_factor
-    ckpt = model.config.checkpointing and S > 1
-    denom = MB * R
-
-    m = [plan.batch_size // (denom * st.devices) for st in plan.stages]
-    tf = [st.t_fwd for st in plan.stages]
-    tb = [st.t_bwd for st in plan.stages]
-    cum = [0]
-    for st in plan.stages:
-        cum.append(cum[-1] + st.devices)
-
-    def cut_time(cut: int, mb: int, cum_devices: int) -> float:
-        inter = (cluster.num_nodes > 1
-                 and cum_devices % cluster.devices_per_node == 0)
-        return model.comm_time(blocks.boundary_bytes(cut, mb),
-                               inter_node=inter)
-
-    # send durations, paid by the sending stage at its own microbatch share
-    c_fwd = [cut_time(plan.stages[s].blocks[1], m[s], cum[s + 1])
-             if s < S - 1 else 0.0 for s in range(S)]
-    c_bwd = [cut_time(plan.stages[s].blocks[0], m[s], cum[s])
-             if s > 0 else 0.0 for s in range(S)]
-
-    lane_free = [0.0] * S
-    lane_events: list[list[tuple[int, str, float, float]]] = [[] for _ in range(S)]
-    arrival = [[0.0] * S for _ in range(MB)]
-
-    for mb in range(MB):
-        for s in range(S):
-            start = max(lane_free[s], arrival[mb][s])
-            end = start + tf[s]
-            lane_events[s].append((mb, "fwd", start, end))
-            lane_free[s] = end
-            if s < S - 1:
-                send_end = end + c_fwd[s]
-                if c_fwd[s] > 0.0:
-                    lane_events[s].append((mb, "comm", end, send_end))
-                lane_free[s] = send_end
-                arrival[mb][s + 1] = send_end
-
-    grad_arrival = [[0.0] * S for _ in range(MB)]
-    for mb in range(MB - 1, -1, -1):
-        for s in range(S - 1, -1, -1):
-            if ckpt:
-                start = lane_free[s]
-                end = start + tf[s]
-                lane_events[s].append((mb, "recompute", start, end))
-                lane_free[s] = end
-            start = max(lane_free[s], grad_arrival[mb][s])
-            end = start + tb[s]
-            lane_events[s].append((mb, "bwd", start, end))
-            lane_free[s] = end
-            if s > 0:
-                send_end = end + c_bwd[s]
-                if c_bwd[s] > 0.0:
-                    lane_events[s].append((mb, "comm", end, send_end))
-                lane_free[s] = send_end
-                grad_arrival[mb][s - 1] = send_end
-
-    for s in range(S):
-        group = plan.stages[s].replicas
-        if group <= 1:
-            continue
-        params = _span_param_bytes(blocks, *plan.stages[s].blocks)
-        if params == 0:
-            continue
-        nbytes = 2 * params * (group - 1) // group
-        first_node = cum[s] // cluster.devices_per_node
-        last_node = (cum[s + 1] - 1) // cluster.devices_per_node
-        spans_nodes = R > 1 or first_node != last_node
-        dur = model.comm_time(nbytes, inter_node=spans_nodes)
-        if dur > 0.0:
-            start = lane_free[s]
-            lane_events[s].append((-1, "allreduce", start, start + dur))
-            lane_free[s] = start + dur
-
-    iteration = max(lane_free)
     events = []
     busy = 0.0
-    for s in range(S):
-        for dev in range(cum[s], cum[s + 1]):
-            for mb, phase, start, end in lane_events[s]:
+    d1 = 0
+    for s, st in enumerate(plan.stages):
+        d0, d1 = d1, d1 + st.devices
+        for dev in range(d0, d1):
+            for mb, phase, start, end in lanes[s]:
                 events.append(Event(device=dev, stage=s, microbatch=mb,
                                     phase=phase, start_sec=start, end_sec=end))
                 busy += end - start
-    n_devices = cum[-1]
+    n_devices = d1
     bubble = 1.0 - busy / (n_devices * iteration) if iteration > 0 else 0.0
     return Schedule(events=tuple(events), iteration_time_sec=iteration,
                     bubble_fraction=bubble, n_devices=n_devices,

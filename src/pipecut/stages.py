@@ -1,14 +1,31 @@
-"""Stage assignment over a block list.
+"""Stage assignment over a block list, and the fill-drain replay of a plan.
 
 A stage is a contiguous block range run on some device count and replicated
 for data parallelism. The planner minimizes the slowest forward plus the
 slowest backward stage time, including the transfer of boundary values, via
 a dynamic program over (stages so far, blocks covered, devices spent). A
 doubling search on top picks the replica factor, stage count, and microbatch
-count, ranking complete plans by simulated iteration time.
+count, ranking complete plans by replayed iteration time.
 
-The brute-force enumerator exists to cross-check the dynamic program on
-small instances; it applies the exact same candidate rules.
+`stage_cost` is the one rule that charges a stage: its span's memoized
+profile (`BlockSet.profile`) at the per-device microbatch share, plus the
+forward send across its upper cut and the backward send across its lower cut
+(`BlockSet.cut_time`); the stage fits when `CostModel.fits` accepts the
+profile's memory. The dynamic program, the brute-force enumerator that
+cross-checks it, `validate_plan` and `replay` all charge stages this way.
+
+Memory assumption: a stage is charged one microbatch slice's activations.
+Fill-drain keeps the inputs (checkpointing on) or all activations
+(checkpointing off) of every microbatch in flight until its backward pass;
+that residency is not charged.
+
+`replay` is GPipe's fill-drain schedule (arXiv 1811.06965): all microbatches
+forward through the stages, then backward in reverse microbatch order, then
+a gradient sync on every stage whose parameters live on several devices.
+Devices never overlap their own work and sends occupy the sender, so a
+stage's cadence matches its charged time. Pipeline replicas behave alike:
+one replica's stage lanes are replayed, and the replica count only enters
+the gradient sync.
 """
 
 from __future__ import annotations
@@ -125,36 +142,60 @@ class SearchResult:
     stats: SearchStats
 
 
-class _Profiler:
-    """Memoized span profiling and boundary transfer times for one BlockSet."""
+class InvalidPlan(ValueError):
+    def __init__(self, violations):
+        super().__init__("; ".join(v.detail for v in violations))
+        self.violations = tuple(violations)
 
-    def __init__(self, blocks: BlockSet):
-        self.blocks = blocks
-        self.model = blocks.model
-        self.cluster = blocks.model.cluster
-        self.mem_budget = self.cluster.device_memory_bytes
-        self._cache: dict[tuple[int, int, int, bool], CostRecord] = {}
 
-    def record(self, lo: int, hi: int, microbatch: int, ckpt: bool) -> CostRecord:
-        key = (lo, hi, microbatch, ckpt)
-        rec = self._cache.get(key)
-        if rec is None:
-            rec = self.model.profile(self.blocks.span(lo, hi), microbatch,
-                                     checkpointing=ckpt)
-            self._cache[key] = rec
-        return rec
+def _share(batch_size: int, microbatches: int, replica_factor: int,
+           devices: int) -> int:
+    """Samples each of a stage's devices gets from one microbatch."""
+    return batch_size // (microbatches * replica_factor * devices)
 
-    def cut_time(self, cut: int, microbatch: int, cum_devices: int) -> float:
-        """Transfer time of the boundary at `cut` for one microbatch slice.
 
-        The cut sits between cumulative device cum_devices and the next one;
-        with contiguous placement it crosses nodes exactly when that count is
-        a whole number of nodes.
-        """
-        nbytes = self.blocks.boundary_bytes(cut, microbatch)
-        inter = (self.cluster.num_nodes > 1
-                 and cum_devices % self.cluster.devices_per_node == 0)
-        return self.model.comm_time(nbytes, inter_node=inter)
+def _ckpt(blocks: BlockSet, S: int) -> bool:
+    """Recomputation is modelled only when there is more than one stage."""
+    return blocks.model.config.checkpointing and S > 1
+
+
+def stage_cost(blocks: BlockSet, lo: int, hi: int, d0: int, d1: int, m: int,
+               ckpt: bool) -> tuple[CostRecord, float, float]:
+    """Charge of blocks [lo, hi) on the devices after cumulative count d0 up
+    to d1, at m samples per device: the span's profile, its forward send
+    across `hi` and its backward send across `lo` (0.0 at the graph ends)."""
+    rec = blocks.profile(lo, hi, m, ckpt)
+    fwd = blocks.cut_time(hi, m, d1) if hi < len(blocks) else 0.0
+    bwd = blocks.cut_time(lo, m, d0) if lo > 0 else 0.0
+    return rec, fwd, bwd
+
+
+def _stage_costs(blocks: BlockSet, spans, batch_size: int, MB: int, R: int):
+    """`stage_cost` of each (lo, hi, devices) stage of a full assignment;
+    the record is None where a device's share of a microbatch is zero."""
+    ckpt = _ckpt(blocks, len(spans))
+    d1 = 0
+    for lo, hi, dev in spans:
+        d0, d1 = d1, d1 + dev
+        m = _share(batch_size, MB, R, dev)
+        if m == 0:
+            yield None, 0.0, 0.0
+        else:
+            yield stage_cost(blocks, lo, hi, d0, d1, m, ckpt)
+
+
+def _assemble(blocks: BlockSet, spans, batch_size: int, MB: int, R: int,
+              objective: float) -> Plan:
+    ckpt = _ckpt(blocks, len(spans))
+    stages = []
+    for lo, hi, dev in spans:
+        rec = blocks.profile(lo, hi, _share(batch_size, MB, R, dev), ckpt)
+        stages.append(StagePlan(blocks=(lo, hi), devices=dev, replicas=dev * R,
+                                t_fwd=rec.t_fwd_sec, t_bwd=rec.t_bwd_sec,
+                                mem=rec.mem_bytes))
+    return Plan(stages=tuple(stages), microbatches=MB, replica_factor=R,
+                objective=objective, batch_size=batch_size,
+                devices_total=sum(dev for _, _, dev in spans))
 
 
 def _check_args(blocks: BlockSet, S: int, D: int, batch_size: int,
@@ -185,14 +226,12 @@ def _pareto(cands: list[_Entry]) -> list[_Entry]:
     return out
 
 
-def _run_dp(prof: _Profiler, S: int, D: int, batch_size: int, R: int, MB: int,
+def _run_dp(blocks: BlockSet, S: int, D: int, batch_size: int, R: int, MB: int,
             opts: SearchOptions, stats: SearchStats) -> Plan | None:
-    blocks = prof.blocks
     nb = len(blocks)
-    cfg = prof.model.config
-    ckpt = cfg.checkpointing and S > 1
+    fits = blocks.model.fits
+    ckpt = _ckpt(blocks, S)
     stats.dp_calls += 1
-    denom = MB * R
 
     # Each cell keeps every non-dominated (running max tf, running max tb)
     # pair instead of a single value: a prefix with the larger forward
@@ -219,22 +258,17 @@ def _run_dp(prof: _Profiler, S: int, D: int, batch_size: int, R: int, MB: int,
                 for (bp, dp), entries in prev_cells:
                     if bp >= b or dp >= d:
                         continue
-                    dev = d - dp
-                    m = batch_size // (denom * dev)
+                    m = _share(batch_size, MB, R, d - dp)
                     if m == 0:
                         # fewer devices would get a positive share back, so
                         # this failure does not persist toward smaller d
                         saw_zero_share = True
                         continue
-                    rec = prof.record(bp, b, m, ckpt)
-                    if rec.mem_bytes > prof.mem_budget:
+                    rec, fwd, bwd = stage_cost(blocks, bp, b, dp, d, m, ckpt)
+                    if not fits(rec.mem_bytes):
                         continue
-                    tf = rec.t_fwd_sec
-                    if b < nb:
-                        tf += prof.cut_time(b, m, d)
-                    tb = rec.t_bwd_sec
-                    if bp > 0:
-                        tb += prof.cut_time(bp, m, dp)
+                    tf = rec.t_fwd_sec + fwd
+                    tb = rec.t_bwd_sec + bwd
                     for idx, (ptf, ptb, _, _, _) in enumerate(entries):
                         cands.append((max(ptf, tf), max(ptb, tb), bp, dp, idx))
                 if cands:
@@ -257,26 +291,16 @@ def _run_dp(prof: _Profiler, S: int, D: int, batch_size: int, R: int, MB: int,
     for entry in final[1:]:
         if entry[0] + entry[1] < best[0] + best[1]:
             best = entry
-    segs = []
+    spans = []
     s, b, d, entry = S, nb, D, best
     while s > 0:
         bp, dp, pidx = entry[2], entry[3], entry[4]
-        segs.append((bp, b, dp, d))
+        spans.append((bp, b, d - dp))
         if s > 1:
             entry = levels[s - 1][(bp, dp)][pidx]
         s, b, d = s - 1, bp, dp
-    segs.reverse()
-    stages = []
-    for lo, hi, d0, d1 in segs:
-        dev = d1 - d0
-        m = batch_size // (denom * dev)
-        rec = prof.record(lo, hi, m, ckpt)
-        stages.append(StagePlan(blocks=(lo, hi), devices=dev, replicas=dev * R,
-                                t_fwd=rec.t_fwd_sec, t_bwd=rec.t_bwd_sec,
-                                mem=rec.mem_bytes))
-    return Plan(stages=tuple(stages), microbatches=MB, replica_factor=R,
-                objective=best[0] + best[1], batch_size=batch_size,
-                devices_total=D)
+    spans.reverse()
+    return _assemble(blocks, spans, batch_size, MB, R, best[0] + best[1])
 
 
 def form_stage_dp(blocks: BlockSet, S: int, D: int, batch_size: int,
@@ -284,9 +308,8 @@ def form_stage_dp(blocks: BlockSet, S: int, D: int, batch_size: int,
                   options: SearchOptions | None = None) -> SearchResult:
     """Optimal S-stage assignment of the block list onto D devices."""
     _check_args(blocks, S, D, batch_size, replica_factor, microbatches)
-    prof = _Profiler(blocks)
     stats = SearchStats()
-    plan = _run_dp(prof, S, D, batch_size, replica_factor, microbatches,
+    plan = _run_dp(blocks, S, D, batch_size, replica_factor, microbatches,
                    options or SearchOptions(), stats)
     return SearchResult(plan, stats)
 
@@ -309,63 +332,33 @@ def brute_force_partition(blocks: BlockSet, S: int, D: int, batch_size: int,
     nb = len(blocks)
     if nb > 12 or D > 8:
         raise TooLarge(f"{nb} blocks on {D} devices is past the enumeration guard")
-    prof = _Profiler(blocks)
+    fits = blocks.model.fits
     stats = SearchStats()
-    cfg = prof.model.config
-    ckpt = cfg.checkpointing and S > 1
-    denom = microbatches * replica_factor
 
     best_key = None
-    best_assignment = None
     for cuts in combinations(range(1, nb), S - 1):
         bounds = (0,) + cuts + (nb,)
         for devs in _compositions(D, S):
             stats.visits += 1
             tfs: list[float] = []
             tbs: list[float] = []
-            cum = 0
-            feasible = True
-            for i in range(S):
-                lo, hi = bounds[i], bounds[i + 1]
-                prev_cum = cum
-                cum += devs[i]
-                m = batch_size // (denom * devs[i])
-                if m == 0:
-                    feasible = False
+            for rec, fwd, bwd in _stage_costs(
+                    blocks, tuple(zip(bounds, bounds[1:], devs)), batch_size,
+                    microbatches, replica_factor):
+                if rec is None or not fits(rec.mem_bytes):
                     break
-                rec = prof.record(lo, hi, m, ckpt)
-                if rec.mem_bytes > prof.mem_budget:
-                    feasible = False
-                    break
-                tf = rec.t_fwd_sec
-                if hi < nb:
-                    tf += prof.cut_time(hi, m, cum)
-                tb = rec.t_bwd_sec
-                if lo > 0:
-                    tb += prof.cut_time(lo, m, prev_cum)
-                tfs.append(tf)
-                tbs.append(tb)
-            if not feasible:
+                tfs.append(rec.t_fwd_sec + fwd)
+                tbs.append(rec.t_bwd_sec + bwd)
+            if len(tfs) < S:
                 continue
             key = (max(tfs) + max(tbs), bounds, devs)
             if best_key is None or key < best_key:
                 best_key = key
-                best_assignment = (bounds, devs)
-    if best_assignment is None:
+    if best_key is None:
         return SearchResult(None, stats)
-    bounds, devs = best_assignment
-    stages = []
-    for i in range(S):
-        lo, hi = bounds[i], bounds[i + 1]
-        m = batch_size // (denom * devs[i])
-        rec = prof.record(lo, hi, m, ckpt)
-        stages.append(StagePlan(blocks=(lo, hi), devices=devs[i],
-                                replicas=devs[i] * replica_factor,
-                                t_fwd=rec.t_fwd_sec, t_bwd=rec.t_bwd_sec,
-                                mem=rec.mem_bytes))
-    plan = Plan(stages=tuple(stages), microbatches=microbatches,
-                replica_factor=replica_factor, objective=float(best_key[0]),
-                batch_size=batch_size, devices_total=D)
+    objective, bounds, devs = best_key
+    plan = _assemble(blocks, tuple(zip(bounds, bounds[1:], devs)), batch_size,
+                     microbatches, replica_factor, objective)
     return SearchResult(plan, stats)
 
 
@@ -376,14 +369,14 @@ def form_stage(num_nodes: int, devices_per_node: int, batch_size: int,
 
     Pipelines widen by node-count doubling: n nodes per pipeline leaves
     num_nodes/n data-parallel replicas. The first widening level with any
-    feasible assignment wins; within it, candidates are ranked by simulated
-    iteration time, then objective, then fewer microbatches.
+    feasible assignment wins; within it, candidates are checked with
+    `validate_plan` and ranked by replayed iteration time, then objective,
+    then fewer microbatches.
     """
     if num_nodes < 1 or devices_per_node < 1 or batch_size < 1:
         raise InvalidArgs("node count, devices per node and batch size must be "
                           "at least 1")
     opts = options or SearchOptions()
-    prof = _Profiler(blocks)
     stats = SearchStats()
     nb = len(blocks)
     n = 1
@@ -397,20 +390,24 @@ def form_stage(num_nodes: int, devices_per_node: int, batch_size: int,
                     continue
                 MB = 1
                 while MB * R <= batch_size:
-                    plan = _run_dp(prof, S, D, batch_size, R, MB, opts, stats)
+                    plan = _run_dp(blocks, S, D, batch_size, R, MB, opts, stats)
                     if plan is not None:
                         candidates.append(plan)
                     MB *= 2
             if candidates:
-                from .simulate import simulate
-
                 def rank(p: Plan):
-                    sched = simulate(p, blocks)
-                    return (sched.iteration_time_sec, p.objective, p.microbatches)
+                    violations = validate_plan(p, blocks)
+                    if violations:
+                        raise InvalidPlan(violations)
+                    return (replay(p, blocks)[0], p.objective, p.microbatches)
 
                 return SearchResult(min(candidates, key=rank), stats)
         n *= 2
     return SearchResult(None, stats)
+
+
+def _spans(plan: Plan) -> list[tuple[int, int, int]]:
+    return [(st.blocks[0], st.blocks[1], st.devices) for st in plan.stages]
 
 
 def validate_plan(plan: Plan, blocks: BlockSet) -> list[Violation]:
@@ -450,41 +447,28 @@ def validate_plan(plan: Plan, blocks: BlockSet) -> list[Violation]:
     if out:
         return out
 
-    prof = _Profiler(blocks)
-    cfg = prof.model.config
-    ckpt = cfg.checkpointing and S > 1
-    denom = plan.microbatches * plan.replica_factor
+    budget = blocks.model.cluster.device_memory_bytes
     tfs: list[float] = []
     tbs: list[float] = []
-    cum = 0
-    for i, st in enumerate(plan.stages):
-        lo, hi = st.blocks
-        prev_cum = cum
-        cum += st.devices
-        m = plan.batch_size // (denom * st.devices)
-        if m == 0:
+    costs = _stage_costs(blocks, _spans(plan), plan.batch_size,
+                         plan.microbatches, plan.replica_factor)
+    for i, (st, (rec, fwd, bwd)) in enumerate(zip(plan.stages, costs)):
+        if rec is None:
             out.append(Violation("microbatch", (f"stage {i}",),
                                  f"stage {i} gets zero samples per device"))
             continue
-        rec = prof.record(lo, hi, m, ckpt)
-        if rec.mem_bytes > prof.mem_budget:
+        if not blocks.model.fits(rec.mem_bytes):
             out.append(Violation("memory", (f"stage {i}",),
                                  f"stage {i} needs {rec.mem_bytes} bytes, "
-                                 f"device holds {prof.mem_budget}"))
+                                 f"device holds {budget}"))
         if rec.mem_bytes != st.mem or not (
                 math.isclose(rec.t_fwd_sec, st.t_fwd, rel_tol=1e-9, abs_tol=1e-15)
                 and math.isclose(rec.t_bwd_sec, st.t_bwd, rel_tol=1e-9, abs_tol=1e-15)):
             out.append(Violation("profile", (f"stage {i}",),
                                  f"stage {i} stored profile does not match "
                                  f"a fresh one"))
-        tf = rec.t_fwd_sec
-        if hi < nb:
-            tf += prof.cut_time(hi, m, cum)
-        tb = rec.t_bwd_sec
-        if lo > 0:
-            tb += prof.cut_time(lo, m, prev_cum)
-        tfs.append(tf)
-        tbs.append(tb)
+        tfs.append(rec.t_fwd_sec + fwd)
+        tbs.append(rec.t_bwd_sec + bwd)
     if tfs and not out:
         v = max(tfs) + max(tbs)
         if not math.isclose(v, plan.objective, rel_tol=1e-9, abs_tol=1e-15):
@@ -492,3 +476,89 @@ def validate_plan(plan: Plan, blocks: BlockSet) -> list[Violation]:
                                  f"recomputed objective {v} != stored "
                                  f"{plan.objective}"))
     return out
+
+
+def _span_param_bytes(blocks: BlockSet, lo: int, hi: int) -> int:
+    graph = blocks.model.graph
+    total = 0
+    for nid in blocks.span(lo, hi).node_ids:
+        node = graph.nodes[nid]
+        if node.is_value and node.value.is_param:
+            total += node.value.fixed_bytes
+    return total
+
+
+def replay(plan: Plan, blocks: BlockSet) -> tuple[float, list[list]]:
+    """Fill-drain replay of one pipeline replica of a validated plan.
+
+    Returns the iteration time and, per stage, its work in order as
+    (microbatch, phase, start, end), where the gradient sync has microbatch
+    -1. Compute takes the plan's stored stage times; `stage_cost` charges
+    the sends.
+    """
+    cluster = blocks.model.cluster
+    S = len(plan.stages)
+    MB = plan.microbatches
+    R = plan.replica_factor
+    ckpt = _ckpt(blocks, S)
+    tf = [st.t_fwd for st in plan.stages]
+    tb = [st.t_bwd for st in plan.stages]
+    _, c_fwd, c_bwd = zip(*_stage_costs(blocks, _spans(plan), plan.batch_size,
+                                        MB, R))
+
+    lane_free = [0.0] * S
+    lanes: list[list[tuple[int, str, float, float]]] = [[] for _ in range(S)]
+    arrival = [[0.0] * S for _ in range(MB)]
+
+    for mb in range(MB):
+        for s in range(S):
+            start = max(lane_free[s], arrival[mb][s])
+            end = start + tf[s]
+            lanes[s].append((mb, "fwd", start, end))
+            lane_free[s] = end
+            if s < S - 1:
+                send_end = end + c_fwd[s]
+                if c_fwd[s] > 0.0:
+                    lanes[s].append((mb, "comm", end, send_end))
+                lane_free[s] = send_end
+                arrival[mb][s + 1] = send_end
+
+    grad_arrival = [[0.0] * S for _ in range(MB)]
+    for mb in range(MB - 1, -1, -1):
+        for s in range(S - 1, -1, -1):
+            if ckpt:
+                start = lane_free[s]
+                end = start + tf[s]
+                lanes[s].append((mb, "recompute", start, end))
+                lane_free[s] = end
+            start = max(lane_free[s], grad_arrival[mb][s])
+            end = start + tb[s]
+            lanes[s].append((mb, "bwd", start, end))
+            lane_free[s] = end
+            if s > 0:
+                send_end = end + c_bwd[s]
+                if c_bwd[s] > 0.0:
+                    lanes[s].append((mb, "comm", end, send_end))
+                lane_free[s] = send_end
+                grad_arrival[mb][s - 1] = send_end
+
+    d1 = 0
+    for s, st in enumerate(plan.stages):
+        d0, d1 = d1, d1 + st.devices
+        group = st.replicas
+        if group <= 1:
+            continue
+        params = _span_param_bytes(blocks, *st.blocks)
+        if params == 0:
+            continue
+        nbytes = 2 * params * (group - 1) // group
+        first_node = d0 // cluster.devices_per_node
+        last_node = (d1 - 1) // cluster.devices_per_node
+        spans_nodes = R > 1 or first_node != last_node
+        dur = blocks.model.comm_time(nbytes, inter_node=spans_nodes)
+        if dur > 0.0:
+            start = lane_free[s]
+            lanes[s].append((-1, "allreduce", start, start + dur))
+            lane_free[s] = start + dur
+
+    return max(lane_free), lanes
