@@ -157,10 +157,6 @@ class AtomicPartition:
         }
 
 
-def count_atoms(p: AtomicPartition) -> int:
-    return len(p.atoms)
-
-
 def build_atomic_subcomponents(g: TaskGraph) -> AtomicPartition:
     """Split the graph into atoms with exactly one non-constant task each.
 

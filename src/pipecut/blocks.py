@@ -8,17 +8,27 @@ leftover groups together whenever coarsening stalled short of the target.
 
 Every group must fit device memory (`CostModel.fits`) at microbatch 1 with
 checkpointing on; that is the floor any later stage assignment has to clear
-as well. The resulting `BlockSet` owns the memoized span profiles and the
-boundary transfer times that stage search, plan checking and replay share.
+as well. The resulting `BlockSet` owns the span profiles and the boundary
+transfer times that stage search, plan checking and replay share.
+
+`BlockSet.profile` composes a span's `CostRecord` from per-block terms in
+constant time instead of walking the span's nodes, the way PipeDream's
+partitioner sums per-layer costs (Narayanan et al., SOSP'19). Times,
+parameter bytes and resident bytes are prefix sums; span input bytes come
+from a table over (lo, hi); the checkpointing footprint is a running max
+over hi. The terms are built once per microbatch size and the record is
+equal, bit for bit, to `CostModel.profile` on the merged span.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .atoms import AtomicPartition, Subcomponent
 from .costs import CostModel, CostRecord
+from .graph import TaskInfo
 
 
 class InfeasibleAtom(Exception):
@@ -294,6 +304,87 @@ def _compact(glist: list[tuple[int, ...]], k: int, ctx: _Grouping) -> list[tuple
     return glist
 
 
+class _TaskShape(NamedTuple):
+    """What a task adds to its block's profile terms, independent of the
+    microbatch; sizes are (fixed bytes, bytes per sample) pairs."""
+
+    info: TaskInfo
+    produced: tuple             # non-parameter values it writes
+    local_reads: tuple          # non-parameter values it reads from its block
+    earlier_reads: tuple        # (owner block, fixed, per sample) from below
+
+
+def _exact_prefix(per_block: list[list[float]]) -> tuple[int, list[int]]:
+    """Prefix sums of float totals held exactly as integers over one
+    power-of-two denominator; dividing a difference rounds once, so a span
+    total equals `math.fsum` of its floats."""
+    ratios = [[x.as_integer_ratio() for x in xs] for xs in per_block]
+    denom = max((d for rs in ratios for _, d in rs), default=1)
+    prefix = [0]
+    for rs in ratios:
+        prefix.append(prefix[-1] + sum(n * (denom // d) for n, d in rs))
+    return denom, prefix
+
+
+class _SpanTerms:
+    """Per-block terms of `CostModel.profile` at one microbatch size."""
+
+    def __init__(self, blocks: "BlockSet", microbatch: int):
+        if microbatch < 0:
+            raise ValueError("microbatch must be non-negative")
+        m = microbatch
+        n = len(blocks)
+        model = blocks.model
+        t_fwd: list[list[float]] = []
+        t_bwd: list[list[float]] = []
+        self.resident = [0] * (n + 1)   # prefix sums, checkpointing off
+        # largest working set of a block's tasks that read nothing from an
+        # earlier block, and (own working set, earlier reads) of the others
+        self.own_peak = [0] * n
+        self.reaching: list[list[tuple[int, list[tuple[int, int]]]]] = [
+            [] for _ in range(n)]
+        self._peak_rows: dict[int, list[int]] = {}
+        for b, shapes in enumerate(blocks._task_shapes):
+            fixed, per_sample = blocks._source_bytes[b]
+            resident = fixed + m * per_sample
+            tfs: list[float] = []
+            tbs: list[float] = []
+            for shape in shapes:
+                tf, tb, act_bytes = model.task_cost(shape.info, m)
+                tfs.append(tf)
+                tbs.append(tb)
+                produced = act_bytes
+                if produced is None:
+                    produced = sum(f + m * s for f, s in shape.produced)
+                resident += produced
+                own = produced + sum(f + m * s for f, s in shape.local_reads)
+                if shape.earlier_reads:
+                    self.reaching[b].append(
+                        (own, [(ob, f + m * s) for ob, f, s in shape.earlier_reads]))
+                else:
+                    self.own_peak[b] = max(self.own_peak[b], own)
+            t_fwd.append(tfs)
+            t_bwd.append(tbs)
+            self.resident[b + 1] = self.resident[b] + resident
+        self.fwd_denom, self.t_fwd = _exact_prefix(t_fwd)
+        self.bwd_denom, self.t_bwd = _exact_prefix(t_bwd)
+
+    def peak_row(self, lo: int) -> list[int]:
+        """Largest single-task working set in [lo, hi), indexed by hi. A read
+        from a block below lo is a span input, so it leaves the working set."""
+        row = self._peak_rows.get(lo)
+        if row is None:
+            row = [0] * (len(self.own_peak) + 1)
+            peak = 0
+            for b in range(lo, len(self.own_peak)):
+                peak = max(peak, self.own_peak[b])
+                for own, reads in self.reaching[b]:
+                    peak = max(peak, own + sum(size for ob, size in reads if ob >= lo))
+                row[b + 1] = peak
+            self._peak_rows[lo] = row
+        return row
+
+
 @dataclass
 class BlockSet:
     """Final blocks in dependency order with their baseline profiles."""
@@ -306,23 +397,81 @@ class BlockSet:
     _cut_fixed: list[int] = field(default_factory=list, repr=False)
     _cut_per_sample: list[float] = field(default_factory=list, repr=False)
     _span_cache: dict[tuple[int, int], Subcomponent] = field(default_factory=dict, repr=False)
-    _profile_cache: dict[tuple[int, int, int, bool], CostRecord] = field(
-        default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.blocks)
         self._cut_fixed = [0] * (n + 1)
         self._cut_per_sample = [0.0] * (n + 1)
+        # per lo: (first reader block at or after lo, fixed, per sample) of
+        # each value that a span starting at lo reads as an input
+        self._input_reads: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         block_of = {a: bi for bi, grp in enumerate(self.block_atoms) for a in grp}
         g = self.partition.graph
+        value_block: dict[str, int] = {}
         for vid in g.value_ids():
             owner = block_of[self.partition.owner_of_value(vid)]
-            consumers = self.partition.consumer_atoms(vid)
-            last = max((block_of[c] for c in consumers), default=owner)
+            value_block[vid] = owner
+            readers = sorted({block_of[c] for c in self.partition.consumer_atoms(vid)})
+            last = readers[-1] if readers else owner
             info = g.nodes[vid].value
             for cut in range(owner + 1, last + 1):
                 self._cut_fixed[cut] += info.fixed_bytes
                 self._cut_per_sample[cut] += info.bytes_per_sample
+            # a graph input is read as an input by every span holding a
+            # reader; any other value only by spans that start above its owner
+            first = 0 if vid in g.inputs else owner + 1
+            i = 0
+            for lo in range(first, last + 1 if readers else 0):
+                while readers[i] < lo:
+                    i += 1
+                self._input_reads[lo].append(
+                    (readers[i], info.fixed_bytes, info.bytes_per_sample))
+
+        self._input_rows: dict[int, tuple[list[int], list[int]]] = {}
+        self._terms: dict[int, _SpanTerms] = {}  # by microbatch size
+        self._params = [0] * (n + 1)
+        # per block: (fixed, per sample) of the non-parameter values it holds
+        # without a producer and does not read as an input, such as constants
+        # and unread graph inputs; they are resident with checkpointing off
+        self._source_bytes: list[tuple[int, int]] = []
+        self._task_shapes: list[list[_TaskShape]] = []
+        for b, sub in enumerate(self.blocks):
+            inputs = set(sub.input_values)
+            params = fixed = per_sample = 0
+            shapes: list[_TaskShape] = []
+            for nid in sub.node_ids:
+                node = g.nodes[nid]
+                if node.is_task:
+                    shapes.append(self._task_shape(nid, b, value_block))
+                elif node.value.is_param:
+                    params += node.value.fixed_bytes
+                elif nid not in inputs and g.producer(nid) is None:
+                    fixed += node.value.fixed_bytes
+                    per_sample += node.value.bytes_per_sample
+            self._params[b + 1] = self._params[b] + params
+            self._source_bytes.append((fixed, per_sample))
+            self._task_shapes.append(shapes)
+
+    def _task_shape(self, nid: str, b: int, value_block: dict[str, int]) -> _TaskShape:
+        g = self.partition.graph
+
+        def sizes(vid):
+            info = g.nodes[vid].value
+            return None if info.is_param else (info.fixed_bytes, info.bytes_per_sample)
+
+        produced = tuple(sz for sz in map(sizes, g.succ(nid)) if sz is not None)
+        local: list[tuple[int, int]] = []
+        earlier: list[tuple[int, int, int]] = []
+        for vid in g.pred(nid):
+            sz = sizes(vid)
+            if sz is None or vid in g.inputs:
+                continue  # parameters, and graph inputs, which are span inputs
+            owner = value_block[vid]
+            if owner == b:
+                local.append(sz)
+            else:
+                earlier.append((owner, *sz))
+        return _TaskShape(g.nodes[nid].task, produced, tuple(local), tuple(earlier))
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -336,8 +485,7 @@ class BlockSet:
 
     def span(self, lo: int, hi: int) -> Subcomponent:
         """Union of blocks [lo, hi) as one subcomponent."""
-        if not 0 <= lo < hi <= len(self.blocks):
-            raise ValueError(f"span [{lo}, {hi}) out of range")
+        self._check_span(lo, hi)
         key = (lo, hi)
         sub = self._span_cache.get(key)
         if sub is None:
@@ -346,15 +494,51 @@ class BlockSet:
             self._span_cache[key] = sub
         return sub
 
+    def _check_span(self, lo: int, hi: int) -> None:
+        if not 0 <= lo < hi <= len(self.blocks):
+            raise ValueError(f"span [{lo}, {hi}) out of range")
+
+    def param_bytes(self, lo: int, hi: int) -> int:
+        """Parameter bytes of blocks [lo, hi)."""
+        self._check_span(lo, hi)
+        return self._params[hi] - self._params[lo]
+
+    def _input_row(self, lo: int) -> tuple[list[int], list[int]]:
+        """Input bytes of span [lo, hi) as (fixed, per sample), indexed by hi."""
+        row = self._input_rows.get(lo)
+        if row is None:
+            n = len(self.blocks)
+            fixed = [0] * (n + 1)
+            per_sample = [0] * (n + 1)
+            for reader, f, s in self._input_reads[lo]:
+                fixed[reader + 1] += f
+                per_sample[reader + 1] += s
+            for hi in range(lo + 1, n + 1):
+                fixed[hi] += fixed[hi - 1]
+                per_sample[hi] += per_sample[hi - 1]
+            row = self._input_rows[lo] = (fixed, per_sample)
+        return row
+
     def profile(self, lo: int, hi: int, microbatch: int, ckpt: bool) -> CostRecord:
-        """Profile of blocks [lo, hi), memoized for the life of the block set."""
-        key = (lo, hi, microbatch, ckpt)
-        rec = self._profile_cache.get(key)
-        if rec is None:
-            rec = self.model.profile(self.span(lo, hi), microbatch,
-                                     checkpointing=ckpt)
-            self._profile_cache[key] = rec
-        return rec
+        """Profile of blocks [lo, hi): `CostModel.profile` of `span(lo, hi)`,
+        composed from per-block terms built once per microbatch size."""
+        self._check_span(lo, hi)
+        terms = self._terms.get(microbatch)
+        if terms is None:
+            terms = self._terms[microbatch] = _SpanTerms(self, microbatch)
+        fixed, per_sample = self._input_row(lo)
+        acts = fixed[hi] + microbatch * per_sample[hi]
+        if ckpt:
+            acts += terms.peak_row(lo)[hi]
+        else:
+            acts += terms.resident[hi] - terms.resident[lo]
+        cfg = self.model.config
+        mem = int((self._params[hi] - self._params[lo])
+                  * (1.0 + cfg.grad_factor + cfg.optimizer_state_factor) + acts)
+        return CostRecord(
+            t_fwd_sec=(terms.t_fwd[hi] - terms.t_fwd[lo]) / terms.fwd_denom,
+            t_bwd_sec=(terms.t_bwd[hi] - terms.t_bwd[lo]) / terms.bwd_denom,
+            mem_bytes=mem)
 
     def cut_time(self, cut: int, microbatch: int, cum_devices: int) -> float:
         """Transfer time of the boundary at `cut` for one microbatch slice.

@@ -85,9 +85,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", default=_env("GRAPH"))
     p.add_argument("--cluster", default=_env("CLUSTER"))
     p.add_argument("--cost-table", default=_env("COST_TABLE"))
-    p.add_argument("--k", type=int, default=int(_env("K", "32")))
-    p.add_argument("--batch-size", type=int,
-                   default=int(_env("BATCH_SIZE", "32")))
+    # string defaults go through `type` like a typed flag, so a bad
+    # environment value is an input error rather than a traceback
+    p.add_argument("--k", type=int, default=_env("K", "32"))
+    p.add_argument("--batch-size", type=int, default=_env("BATCH_SIZE", "32"))
     p.add_argument("--checkpointing", choices=["on", "off"],
                    default=_env("CHECKPOINTING", "on"))
     p.add_argument("--out", default=_env("OUT", "."))
@@ -378,10 +379,11 @@ def cmd_sweep(args) -> int:
                 any_ok = True
             rows.append(row)
 
-    out_path = args.out
-    if os.path.isdir(out_path) or out_path in (".", ""):
-        os.makedirs(out_path or ".", exist_ok=True)
-        out_path = os.path.join(out_path or ".", "sweep.csv")
+    # a path not ending in .csv is a directory, created as partition does
+    out_path = args.out or "."
+    if os.path.isdir(out_path) or not out_path.endswith(".csv"):
+        os.makedirs(out_path, exist_ok=True)
+        out_path = os.path.join(out_path, "sweep.csv")
     with open(out_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS,
                                 lineterminator="\n")

@@ -1,20 +1,28 @@
 """Analytic cost model with optional measured overrides.
 
 Compute time scales FLOPs by device throughput, backward time by a fixed
-ratio. Memory charges parameters with gradient and optimizer-state factors
-plus an activation term that depends on whether checkpointing is active:
-without it every produced value stays resident, with it only the stage
-inputs plus the largest single-task working set.
+ratio; a cost-table entry keyed by `op_signature` replaces either, and may
+replace a task's activation bytes (`CostModel.task_cost`). Memory charges
+parameters with gradient and optimizer-state factors plus an activation
+term that depends on whether checkpointing is active: without it every
+produced value stays resident, with it only the stage inputs plus the
+largest single-task working set.
+
+`CostModel.profile` walks a subcomponent's nodes and is the reference
+definition. Its times are `math.fsum` totals, correctly rounded whatever
+the node order, so `BlockSet.profile` can compose the same record exactly
+from per-block terms without walking a span's nodes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 from .atoms import Subcomponent
-from .graph import ClusterSpec, ParseError, TaskGraph, TaskInfo
+from .graph import ClusterSpec, ParseError, TaskGraph, TaskInfo, parse_amount
 
 
 @dataclass(frozen=True)
@@ -55,6 +63,9 @@ def op_signature(task: TaskInfo, microbatch: int) -> str:
 
 
 def load_cost_table(path: str) -> dict[str, CostTableEntry]:
+    """Read measured costs, rejecting entries that could not be looked up
+    (a `microbatch` other than the key's `mb=`) or that hold a non-numeric,
+    negative or non-finite number."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -71,12 +82,17 @@ def load_cost_table(path: str) -> dict[str, CostTableEntry]:
             raise ParseError(f"cost table entry {sig!r}: unknown fields {sorted(unknown)}")
         if "microbatch" not in rec or "t_fwd" not in rec:
             raise ParseError(f"cost table entry {sig!r}: microbatch and t_fwd are required")
-        table[sig] = CostTableEntry(
-            microbatch=int(rec["microbatch"]),
-            t_fwd=float(rec["t_fwd"]),
-            t_bwd=None if rec.get("t_bwd") is None else float(rec["t_bwd"]),
-            act_bytes=None if rec.get("act_bytes") is None else int(rec["act_bytes"]),
-        )
+        where = f"cost table entry {sig!r}"
+        microbatch = parse_amount(rec["microbatch"], f"{where}: microbatch", whole=True)
+        if not sig.endswith(f"|mb={microbatch}"):
+            raise ParseError(f"{where}: microbatch {microbatch} does not match "
+                             f"the key's mb=")
+        optional = {key: None if rec.get(key) is None
+                    else parse_amount(rec[key], f"{where}: {key}", whole=key == "act_bytes")
+                    for key in ("t_bwd", "act_bytes")}
+        table[sig] = CostTableEntry(microbatch=microbatch,
+                                    t_fwd=parse_amount(rec["t_fwd"], f"{where}: t_fwd"),
+                                    **optional)
     return table
 
 
@@ -94,13 +110,27 @@ class CostModel:
         self.config = config
         self.cluster = cluster
 
+    def task_cost(self, task: TaskInfo, microbatch: int
+                  ) -> tuple[float, float, int | None]:
+        """Forward and backward seconds of one task at a microbatch size, and
+        its activation bytes when a cost-table entry overrides them."""
+        cfg = self.config
+        entry = None
+        if cfg.cost_table is not None:
+            entry = cfg.cost_table.get(op_signature(task, microbatch))
+        if entry is None:
+            tf = task.flops_per_sample * microbatch / cfg.device_flops_per_sec
+            return tf, cfg.bwd_fwd_ratio * tf, None
+        tb = entry.t_bwd if entry.t_bwd is not None else cfg.bwd_fwd_ratio * entry.t_fwd
+        return entry.t_fwd, tb, entry.act_bytes
+
     def profile(self, sub: Subcomponent, microbatch: int,
                 checkpointing: bool | None = None) -> CostRecord:
         """Forward/backward time and peak training memory at a microbatch size.
 
         Memory never shrinks when checkpointing is turned off and never counts
         a boundary input twice; parameters are charged once with gradient and
-        optimizer-state factors applied.
+        optimizer-state factors applied. Times are exact sums rounded once.
         """
         if microbatch < 0:
             raise ValueError("microbatch must be non-negative")
@@ -110,8 +140,8 @@ class CostModel:
         cfg = self.config
         inputs = set(sub.input_values)
 
-        t_fwd = 0.0
-        t_bwd = 0.0
+        t_fwd: list[float] = []
+        t_bwd: list[float] = []
         param_bytes = 0
         resident = 0          # produced values and non-param constants
         max_footprint = 0
@@ -127,25 +157,17 @@ class CostModel:
                     resident += g.value_size(nid, microbatch)
                 continue
             assert node.task is not None
-            entry = None
-            if cfg.cost_table is not None:
-                entry = cfg.cost_table.get(op_signature(node.task, microbatch))
-            if entry is not None:
-                tf = entry.t_fwd
-                tb = entry.t_bwd if entry.t_bwd is not None else cfg.bwd_fwd_ratio * tf
-            else:
-                tf = node.task.flops_per_sample * microbatch / cfg.device_flops_per_sec
-                tb = cfg.bwd_fwd_ratio * tf
-            t_fwd += tf
-            t_bwd += tb
+            tf, tb, act_bytes = self.task_cost(node.task, microbatch)
+            t_fwd.append(tf)
+            t_bwd.append(tb)
 
             produced = 0
             for vid in g.succ(nid):
                 info = g.nodes[vid].value
                 if info is not None and not info.is_param:
                     produced += g.value_size(vid, microbatch)
-            if entry is not None and entry.act_bytes is not None:
-                produced = entry.act_bytes
+            if act_bytes is not None:
+                produced = act_bytes
             resident += produced
             footprint = produced
             for vid in g.pred(nid):
@@ -157,7 +179,8 @@ class CostModel:
         activations = input_bytes + (max_footprint if checkpointing else resident)
         mem = int(param_bytes * (1.0 + cfg.grad_factor + cfg.optimizer_state_factor)
                   + activations)
-        return CostRecord(t_fwd_sec=t_fwd, t_bwd_sec=t_bwd, mem_bytes=mem)
+        return CostRecord(t_fwd_sec=math.fsum(t_fwd), t_bwd_sec=math.fsum(t_bwd),
+                          mem_bytes=mem)
 
     def fits(self, mem_bytes: int) -> bool:
         """The one memory rule for blocks and stages: strictly under a device."""
@@ -166,14 +189,3 @@ class CostModel:
     def comm_time(self, nbytes: int, inter_node: bool = False) -> float:
         bw = self.cluster.bw_inter if inter_node else self.cluster.bw_intra
         return comm_time(nbytes, bw, self.cluster.link_latency_sec)
-
-    def cut_bytes(self, a: Subcomponent, b: Subcomponent, microbatch: int) -> int:
-        """Bytes crossing between two subcomponents in either direction."""
-        total = 0
-        for src, dst in ((a, b), (b, a)):
-            for vid in src.output_values:
-                for consumer in self.graph.consumers(vid):
-                    if consumer in dst.node_ids:
-                        total += self.graph.value_size(vid, microbatch)
-                        break
-        return total

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
@@ -210,6 +211,20 @@ def _check_keys(obj: Mapping[str, Any], allowed: set[str], required: set[str], c
         raise ParseError(f"{ctx}: missing fields {sorted(missing)}")
 
 
+def parse_amount(raw: Any, what: str, whole: bool = False) -> float | int:
+    """A finite, non-negative JSON number: a float, or an int when `whole`.
+    Anything else raises ParseError naming `what`."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ParseError(f"{what} must be a number, got {raw!r}")
+    if not math.isfinite(raw) or raw < 0:
+        raise ParseError(f"{what} must be finite and non-negative, got {raw!r}")
+    if not whole:
+        return float(raw)
+    if raw != int(raw):
+        raise ParseError(f"{what} must be a whole number, got {raw!r}")
+    return int(raw)
+
+
 def _node_from_json(raw: Mapping[str, Any]) -> Node:
     _check_keys(raw, {"id", "kind", "task", "value"}, {"id", "kind"}, "node")
     nid = raw["id"]
@@ -226,7 +241,8 @@ def _node_from_json(raw: Mapping[str, Any]) -> Node:
             raise ParseError(f"node {nid!r}: attrs must be an object")
         return Node(nid, task=TaskInfo(
             op=str(payload["op"]),
-            flops_per_sample=float(payload.get("flops_per_sample", 0.0)),
+            flops_per_sample=parse_amount(payload.get("flops_per_sample", 0),
+                                          f"node {nid!r}: flops_per_sample"),
             attrs=dict(attrs),
         ))
     if kind == "value":
@@ -235,8 +251,11 @@ def _node_from_json(raw: Mapping[str, Any]) -> Node:
         payload = raw.get("value", {})
         _check_keys(payload, {"fixed_bytes", "bytes_per_sample", "is_param"}, set(), f"node {nid!r} value")
         return Node(nid, value=ValueInfo(
-            fixed_bytes=int(payload.get("fixed_bytes", 0)),
-            bytes_per_sample=int(payload.get("bytes_per_sample", 0)),
+            fixed_bytes=parse_amount(payload.get("fixed_bytes", 0),
+                                     f"node {nid!r}: fixed_bytes", whole=True),
+            bytes_per_sample=parse_amount(payload.get("bytes_per_sample", 0),
+                                          f"node {nid!r}: bytes_per_sample",
+                                          whole=True),
             is_param=bool(payload.get("is_param", False)),
         ))
     raise ParseError(f"node {nid!r}: kind must be 'task' or 'value', got {kind!r}")

@@ -7,11 +7,11 @@ a dynamic program over (stages so far, blocks covered, devices spent). A
 doubling search on top picks the replica factor, stage count, and microbatch
 count, ranking complete plans by replayed iteration time.
 
-`stage_cost` is the one rule that charges a stage: its span's memoized
-profile (`BlockSet.profile`) at the per-device microbatch share, plus the
-forward send across its upper cut and the backward send across its lower cut
-(`BlockSet.cut_time`); the stage fits when `CostModel.fits` accepts the
-profile's memory. The dynamic program, the brute-force enumerator that
+`stage_cost` is the one rule that charges a stage: its span's profile,
+composed from per-block terms (`BlockSet.profile`), at the per-device
+microbatch share, plus the forward send across its upper cut and the
+backward send across its lower cut (`BlockSet.cut_time`); the stage fits
+when `CostModel.fits` accepts the profile's memory. The dynamic program, the brute-force enumerator that
 cross-checks it, `validate_plan` and `replay` all charge stages this way.
 
 Memory assumption: a stage is charged one microbatch slice's activations.
@@ -36,7 +36,7 @@ from itertools import combinations
 
 from .blocks import BlockSet
 from .costs import CostRecord
-from .graph import ParseError, Violation
+from .graph import ParseError, Violation, parse_amount
 
 
 class InvalidArgs(ValueError):
@@ -99,28 +99,31 @@ class Plan:
                "batch_size", "devices_total"}
         if not isinstance(doc, dict) or set(doc) != top:
             raise ParseError(f"plan document must have exactly the keys {sorted(top)}")
+        if not isinstance(doc["stages"], list):
+            raise ParseError("plan stages must be an array")
         stage_keys = {"blocks", "devices", "replicas", "t_fwd", "t_bwd", "mem"}
         stages = []
         for st in doc["stages"]:
             if not isinstance(st, dict) or set(st) != stage_keys:
                 raise ParseError(f"plan stage must have exactly the keys {sorted(stage_keys)}")
-            if len(st["blocks"]) != 2:
-                raise ParseError("stage blocks must be a [from, to) pair")
+            if not isinstance(st["blocks"], list) or len(st["blocks"]) != 2:
+                raise ParseError("plan stage blocks must be a [from, to) pair")
             stages.append(StagePlan(
-                blocks=(int(st["blocks"][0]), int(st["blocks"][1])),
-                devices=int(st["devices"]),
-                replicas=int(st["replicas"]),
-                t_fwd=float(st["t_fwd"]),
-                t_bwd=float(st["t_bwd"]),
-                mem=int(st["mem"]),
+                blocks=(parse_amount(st["blocks"][0], "plan stage blocks", whole=True),
+                        parse_amount(st["blocks"][1], "plan stage blocks", whole=True)),
+                devices=parse_amount(st["devices"], "plan stage devices", whole=True),
+                replicas=parse_amount(st["replicas"], "plan stage replicas", whole=True),
+                t_fwd=parse_amount(st["t_fwd"], "plan stage t_fwd"),
+                t_bwd=parse_amount(st["t_bwd"], "plan stage t_bwd"),
+                mem=parse_amount(st["mem"], "plan stage mem", whole=True),
             ))
         return Plan(
             stages=tuple(stages),
-            microbatches=int(doc["microbatches"]),
-            replica_factor=int(doc["replica_factor"]),
-            objective=float(doc["objective"]),
-            batch_size=int(doc["batch_size"]),
-            devices_total=int(doc["devices_total"]),
+            microbatches=parse_amount(doc["microbatches"], "plan microbatches", whole=True),
+            replica_factor=parse_amount(doc["replica_factor"], "plan replica_factor", whole=True),
+            objective=parse_amount(doc["objective"], "plan objective"),
+            batch_size=parse_amount(doc["batch_size"], "plan batch_size", whole=True),
+            devices_total=parse_amount(doc["devices_total"], "plan devices_total", whole=True),
         )
 
 
@@ -478,16 +481,6 @@ def validate_plan(plan: Plan, blocks: BlockSet) -> list[Violation]:
     return out
 
 
-def _span_param_bytes(blocks: BlockSet, lo: int, hi: int) -> int:
-    graph = blocks.model.graph
-    total = 0
-    for nid in blocks.span(lo, hi).node_ids:
-        node = graph.nodes[nid]
-        if node.is_value and node.value.is_param:
-            total += node.value.fixed_bytes
-    return total
-
-
 def replay(plan: Plan, blocks: BlockSet) -> tuple[float, list[list]]:
     """Fill-drain replay of one pipeline replica of a validated plan.
 
@@ -548,7 +541,7 @@ def replay(plan: Plan, blocks: BlockSet) -> tuple[float, list[list]]:
         group = st.replicas
         if group <= 1:
             continue
-        params = _span_param_bytes(blocks, *st.blocks)
+        params = blocks.param_bytes(*st.blocks)
         if params == 0:
             continue
         nbytes = 2 * params * (group - 1) // group

@@ -6,7 +6,6 @@ from pipecut.atoms import (
     DanglingOutput,
     NoNonConstantTask,
     build_atomic_subcomponents,
-    count_atoms,
     mark_constant_tasks,
 )
 from pipecut.graph import TaskGraph, graph_from_json, validate_graph
@@ -54,7 +53,7 @@ class TestConstantMarking:
 class TestBuild:
     def test_tied_graph_atoms(self):
         p = build_atomic_subcomponents(tied_graph())
-        assert count_atoms(p) == 3
+        assert len(p.atoms) == 3
         assert p.clone_origins == {}
         a0, a1, a2 = p.atoms
         assert {"matmul1", "transpose1", "w1", "w1t", "x", "y1"} == set(a0.node_ids)
@@ -67,7 +66,7 @@ class TestBuild:
 
     def test_chain_one_atom_per_task(self):
         p = build_atomic_subcomponents(chain_graph(5))
-        assert count_atoms(p) == 5
+        assert len(p.atoms) == 5
         # atoms come out in topological order of their anchor tasks
         anchors = [sorted(t for t in a.node_ids if p.graph.nodes[t].is_task)[0]
                    for a in p.atoms]
@@ -75,7 +74,7 @@ class TestBuild:
 
     def test_shared_constant_cloned_per_atom(self):
         p = build_atomic_subcomponents(shared_transpose_graph())
-        assert count_atoms(p) == 2
+        assert len(p.atoms) == 2
         origins = sorted(set(p.clone_origins.values()))
         assert origins == ["tr", "w", "wt"]
         assert sorted(p.clone_origins) == ["tr::c0", "tr::c1", "w::c0", "w::c1",
@@ -90,13 +89,13 @@ class TestBuild:
         g = gen_bert_like(32, 2, 8, 50)
         p = build_atomic_subcomponents(g)
         assert set(p.clone_origins.values()) == {"embedding.w"}
-        assert count_atoms(p) == 2 * 10 + 3
+        assert len(p.atoms) == 2 * 10 + 3
 
     def test_resnet_atom_count(self):
         p = build_atomic_subcomponents(gen_resnet_like(50, 1))
         assert p.clone_origins == {}
         n_tasks = len(gen_resnet_like(50, 1).task_ids())
-        assert count_atoms(p) == n_tasks
+        assert len(p.atoms) == n_tasks
 
     def test_no_non_constant_task(self):
         nodes = [value("w", fixed=4, param=True), task("t"), value("y", fixed=4)]
@@ -145,7 +144,7 @@ def check_partition_invariants(g: TaskGraph, p) -> None:
             assert external or vid in p.graph.outputs
     # atom contraction is a DAG: Kahn must consume every node
     deps = p.dependencies()
-    n = count_atoms(p)
+    n = len(p.atoms)
     indeg = [0] * n
     succ = [[] for _ in range(n)]
     for a, b in deps:
@@ -204,7 +203,7 @@ class TestInvariants:
     def test_merged_covers_whole_graph(self):
         g = tied_graph()
         p = build_atomic_subcomponents(g)
-        merged = p.merged(range(count_atoms(p)), "all")
+        merged = p.merged(range(len(p.atoms)), "all")
         assert merged.node_ids == frozenset(p.graph.nodes)
         assert merged.input_values == ("x",)
         assert merged.output_values == ("y3",)
@@ -213,4 +212,4 @@ class TestInvariants:
 class TestScale:
     def test_large_bert_atom_count(self):
         p = build_atomic_subcomponents(gen_bert_like(2048, 256, 512, 30522))
-        assert count_atoms(p) > 1000
+        assert len(p.atoms) > 1000

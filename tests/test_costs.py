@@ -4,6 +4,7 @@ import random
 import pytest
 
 from pipecut.atoms import build_atomic_subcomponents
+from pipecut.blocks import BlockSet
 from pipecut.costs import (
     CostModel,
     CostModelConfig,
@@ -111,26 +112,44 @@ class TestCommTime:
             comm_time(1, 0.0)
 
 
+def blockset_of(g, *groups):
+    """BlockSet whose blocks are the given atom-index groups, in order."""
+    p = build_atomic_subcomponents(g)
+    model = CostModel(p.graph, CostModelConfig(), CLUSTER)
+    groups = tuple(tuple(grp) for grp in groups)
+    blocks = tuple(p.merged(grp, f"B{i}") for i, grp in enumerate(groups))
+    return BlockSet(p, model, groups, blocks,
+                    tuple(model.profile(b, 1, checkpointing=True) for b in blocks))
+
+
+def two_way_cut(g, a, b, microbatch):
+    """Bytes of values one side writes and the other reads, both ways."""
+    total = 0
+    for src, dst in ((a, b), (b, a)):
+        for vid in src.output_values:
+            if any(c in dst.node_ids for c in g.consumers(vid)):
+                total += g.value_size(vid, microbatch)
+    return total
+
+
 class TestCutBytes:
     def test_chain_boundary(self):
-        g = chain_graph(2, per_sample=4096.0)
-        p = build_atomic_subcomponents(g)
-        model = CostModel(g, CostModelConfig(), CLUSTER)
-        assert model.cut_bytes(p.atoms[0], p.atoms[1], 8) == 8 * 4096
+        bs = blockset_of(chain_graph(2, per_sample=4096.0), [0], [1])
+        assert bs.boundary_bytes(1, 8) == 8 * 4096
 
     def test_symmetry(self):
+        # a DAG's blocks only send forward, so the one-way boundary equals
+        # the bytes crossing in either direction
         g = chain_graph(4)
-        p = build_atomic_subcomponents(g)
-        model = CostModel(g, CostModelConfig(), CLUSTER)
-        a = p.merged([0, 1], "left")
-        b = p.merged([2, 3], "right")
-        assert model.cut_bytes(a, b, 3) == model.cut_bytes(b, a, 3)
+        bs = blockset_of(g, [0, 1], [2, 3])
+        assert bs.boundary_bytes(1, 3) == two_way_cut(g, *bs.blocks, 3) == 3 * 4
 
     def test_nonadjacent_is_zero(self):
+        # atoms 0 and 2 share nothing: the cut after atom 1 carries only v01
         g = chain_graph(3)
-        p = build_atomic_subcomponents(g)
-        model = CostModel(g, CostModelConfig(), CLUSTER)
-        assert model.cut_bytes(p.atoms[0], p.atoms[2], 5) == 0
+        bs = blockset_of(g, [0], [1], [2])
+        assert bs.boundary_bytes(2, 5) == 5 * 4
+        assert bs.boundary_bytes(0, 5) == bs.boundary_bytes(3, 5) == 0
 
     def test_forwarded_model_input_counts(self):
         # x feeds both tasks; the atom owning x must ship it to the other.
@@ -139,10 +158,9 @@ class TestCutBytes:
                  task("tb", flops=1.0), value("vb", per_sample=4.0)]
         edges = [("x", "ta"), ("ta", "va"), ("x", "tb"), ("va", "tb"), ("tb", "vb")]
         g = TaskGraph(nodes=nodes, edges=edges, inputs=("x",), outputs=("vb",))
-        p = build_atomic_subcomponents(g)
-        model = CostModel(g, CostModelConfig(), CLUSTER)
+        bs = blockset_of(g, [0], [1])
         # cut carries va plus the forwarded input x
-        assert model.cut_bytes(p.atoms[0], p.atoms[1], 2) == 2 * 4 + 2 * 8
+        assert bs.boundary_bytes(1, 2) == 2 * 4 + 2 * 8
 
 
 class TestCostTable:
@@ -254,10 +272,8 @@ class TestProperties:
             n = len(p.atoms)
             if n < 2:
                 continue
-            model = CostModel(g, CostModelConfig(), CLUSTER)
-            a = p.merged(range(n // 2), "a")
-            b = p.merged(range(n // 2, n), "b")
-            assert model.cut_bytes(a, b, 2) == model.cut_bytes(b, a, 2)
+            bs = blockset_of(g, range(n // 2), range(n // 2, n))
+            assert bs.boundary_bytes(1, 2) == two_way_cut(g, *bs.blocks, 2)
 
     def test_deterministic(self):
         p = build_atomic_subcomponents(gen_bert_like(64, 2, 16, 100))

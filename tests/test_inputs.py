@@ -1,0 +1,202 @@
+"""Bad input exits with code 1 and a one-line message, never a traceback."""
+
+import json
+
+import pytest
+
+from pipecut.cli import main
+from pipecut.costs import load_cost_table
+from pipecut.generators import gen_bert_like
+from pipecut.graph import ParseError, graph_from_json, graph_to_json, save_graph
+from pipecut.stages import Plan
+
+from test_cli import write_cluster
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+def chain_doc(flops=1.0, fixed=0, per_sample=4):
+    return {
+        "nodes": [
+            {"id": "x", "kind": "value", "value": {"bytes_per_sample": 4}},
+            {"id": "t", "kind": "task", "task": {"op": "mm", "flops_per_sample": flops}},
+            {"id": "y", "kind": "value",
+             "value": {"fixed_bytes": fixed, "bytes_per_sample": per_sample}},
+        ],
+        "edges": [["x", "t"], ["t", "y"]],
+        "inputs": ["x"],
+        "outputs": ["y"],
+    }
+
+
+BAD_NUMBERS = [-1, -1.5, float("inf"), float("nan"), "12", True, None]
+
+
+class TestGraphNumbers:
+    @pytest.mark.parametrize("bad", BAD_NUMBERS)
+    @pytest.mark.parametrize("field", ["flops", "fixed", "per_sample"])
+    def test_rejected_at_load(self, field, bad):
+        with pytest.raises(ParseError, match=field if field != "fixed" else "fixed_bytes"):
+            graph_from_json(chain_doc(**{field: bad}))
+
+    def test_byte_sizes_must_be_whole(self):
+        with pytest.raises(ParseError, match="whole"):
+            graph_from_json(chain_doc(per_sample=4.5))
+        g = graph_from_json(chain_doc(flops=2.5, per_sample=8.0))
+        assert g.nodes["y"].value.bytes_per_sample == 8
+        assert g.nodes["t"].task.flops_per_sample == 2.5
+
+    def test_negative_flops_is_an_input_error(self, tmp_path, capsys):
+        # this used to load and then fail the plan's own objective check
+        doc = graph_to_json(gen_bert_like(64, 2, 16, 100))
+        task = next(n for n in doc["nodes"] if n["kind"] == "task")
+        task["task"]["flops_per_sample"] = -1e9
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps(doc))
+        cluster = write_cluster(tmp_path / "c.json")
+        assert main(["partition", "--graph", str(graph), "--cluster", cluster,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "flops_per_sample must be finite and non-negative" in one_error_line(capsys)
+
+    def test_non_finite_bytes_in_json_text(self, tmp_path, capsys):
+        # Python's json module reads the non-standard literal Infinity
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps(chain_doc(per_sample=float("inf"))))
+        cluster = write_cluster(tmp_path / "c.json")
+        assert main(["partition", "--graph", str(graph), "--cluster", cluster,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "bytes_per_sample" in one_error_line(capsys)
+
+
+class TestCostTableNumbers:
+    SIG = "mm||mb=4"
+
+    def load(self, tmp_path, sig=SIG, **fields):
+        rec = {"microbatch": 4, "t_fwd": 0.5}
+        rec.update(fields)
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({sig: rec}))
+        return load_cost_table(str(path))
+
+    # null means absent for the optional t_bwd and act_bytes
+    @pytest.mark.parametrize("field, bad", [
+        (field, bad) for field in ("t_fwd", "t_bwd", "act_bytes", "microbatch")
+        for bad in BAD_NUMBERS if bad is not None or field in ("t_fwd", "microbatch")])
+    def test_rejected_at_load(self, tmp_path, field, bad):
+        with pytest.raises(ParseError, match=field):
+            self.load(tmp_path, **{field: bad})
+
+    def test_whole_numbers_for_counts(self, tmp_path):
+        with pytest.raises(ParseError, match="act_bytes"):
+            self.load(tmp_path, act_bytes=7.5)
+        entry = self.load(tmp_path, act_bytes=7.0, t_bwd=None)[self.SIG]
+        assert entry.act_bytes == 7 and entry.t_bwd is None
+
+    @pytest.mark.parametrize("sig", ["mm||mb=2", "mm||mb=44", "mm||", "mm"])
+    def test_microbatch_must_match_key(self, tmp_path, sig):
+        with pytest.raises(ParseError, match="does not match"):
+            self.load(tmp_path, sig=sig)
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        save_graph(gen_bert_like(64, 2, 16, 100), str(graph))
+        table = tmp_path / "t.json"
+        table.write_text(json.dumps({self.SIG: {"microbatch": 4, "t_fwd": "fast"}}))
+        assert main(["partition", "--graph", str(graph), "--cluster",
+                     write_cluster(tmp_path / "c.json"), "--cost-table", str(table),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "t_fwd must be a number" in one_error_line(capsys)
+
+
+class TestEnvironmentDefaults:
+    @pytest.mark.parametrize("name, flag", [("PIPECUT_K", "--k"),
+                                            ("PIPECUT_BATCH_SIZE", "--batch-size")])
+    def test_non_integer_is_an_input_error(self, monkeypatch, capsys, name, flag):
+        monkeypatch.setenv(name, "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["partition", "--graph", "g.json", "--cluster", "c.json"])
+        assert exc.value.code == 1
+        assert f"argument {flag}: invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_command_line_wins_over_a_bad_environment_value(
+            self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("PIPECUT_K", "abc")
+        cluster = write_cluster(tmp_path / "c.json")
+        assert main(["partition", "--graph", str(tmp_path / "missing.json"),
+                     "--cluster", cluster, "--k", "4"]) == 1
+        assert "missing.json" in one_error_line(capsys)
+
+
+class TestPlanTypes:
+    @pytest.fixture
+    def plan_doc(self):
+        return {"stages": [{"blocks": [0, 2], "devices": 1, "replicas": 1,
+                            "t_fwd": 0.5, "t_bwd": 1.0, "mem": 100}],
+                "microbatches": 1, "replica_factor": 1, "objective": 1.5,
+                "batch_size": 4, "devices_total": 1}
+
+    @pytest.mark.parametrize("path, bad", [
+        (("stages",), 5),
+        (("stages", 0, "blocks"), 5),
+        (("stages", 0, "blocks"), [0, "x"]),
+        (("stages", 0, "devices"), "x"),
+        (("stages", 0, "devices"), 1.5),
+        (("stages", 0, "mem"), None),
+        (("stages", 0, "t_fwd"), "x"),
+        (("stages", 0), 7),
+        (("microbatches",), True),
+        (("objective",), [1.5]),
+        (("batch_size",), "4"),
+    ])
+    def test_wrong_types_raise_parse_error(self, plan_doc, path, bad):
+        assert Plan.from_json(plan_doc).objective == 1.5
+        target = plan_doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = bad
+        with pytest.raises(ParseError):
+            Plan.from_json(plan_doc)
+
+    @pytest.mark.parametrize("field, bad", [("stages", 5), ("blocks", 5),
+                                            ("devices", "x")])
+    def test_simulate_rejects_plan(self, tmp_path, capsys, field, bad):
+        graph = tmp_path / "g.json"
+        save_graph(gen_bert_like(64, 2, 16, 100), str(graph))
+        cluster = write_cluster(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["partition", "--graph", str(graph), "--cluster", cluster,
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "plan.json").read_text())
+        if field == "stages":
+            doc["stages"] = bad
+        else:
+            doc["stages"][0][field] = bad
+        plan = tmp_path / "bad_plan.json"
+        plan.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["simulate", "--plan", str(plan), "--graph", str(graph),
+                     "--cluster", cluster]) == 1
+        assert "plan" in one_error_line(capsys)
+
+
+class TestSweepOut:
+    ARGS = ["sweep", "--hidden", "64", "--layers", "2", "--seq", "16",
+            "--vocab", "100", "--batch-size", "16"]
+
+    def test_missing_directory_is_created(self, tmp_path):
+        cluster = write_cluster(tmp_path / "c.json")
+        out = tmp_path / "new" / "dir"
+        assert main(self.ARGS + ["--cluster", cluster, "--out", str(out)]) == 0
+        assert out.is_dir()
+        lines = (out / "sweep.csv").read_text().strip().split("\n")
+        assert len(lines) == 2 and ",ok," in lines[1]
+
+    def test_csv_path_is_a_file(self, tmp_path):
+        cluster = write_cluster(tmp_path / "c.json")
+        out = tmp_path / "grid.csv"
+        assert main(self.ARGS + ["--cluster", cluster, "--out", str(out)]) == 0
+        assert out.is_file()
