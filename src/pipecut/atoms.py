@@ -103,9 +103,6 @@ class AtomicPartition:
             self._consumer_atoms[vid] = frozenset(
                 self._task_atom[t] for t in self.graph.consumers(vid))
 
-    def atom_of_task(self, task_id: str) -> int:
-        return self._task_atom[task_id]
-
     def owner_of_value(self, value_id: str) -> int:
         return self._value_owner[value_id]
 

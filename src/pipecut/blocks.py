@@ -1,10 +1,12 @@
 """Block formation over atomic subcomponents.
 
-Folds atoms into at most k convex blocks. Three phases: greedy pairwise
-coarsening that always grows the cheapest groups first, a refinement sweep
-that revisits every recorded merge and moves one side next door when that
-strictly lowers cross-block traffic, and a final compaction that folds
-leftover groups together whenever coarsening stalled short of the target.
+Folds atoms into at most k convex blocks, listed in dependency order, with a
+METIS-style multilevel scheme (Karypis & Kumar 1998): greedy pairwise
+coarsening that grows the cheapest groups first; a refinement sweep that
+revisits every recorded merge and moves one side next door when that
+strictly lowers cross-block traffic; a dependency-order listing that folds
+any cycle of groups into one group; and a compaction that folds
+list-adjacent groups whenever coarsening stalled short of the target.
 
 Every group must fit device memory (`CostModel.fits`) at microbatch 1 with
 checkpointing on; that is the floor any later stage assignment has to clear
@@ -22,6 +24,7 @@ equal, bit for bit, to `CostModel.profile` on the merged span.
 
 from __future__ import annotations
 
+import graphlib
 import heapq
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -46,10 +49,9 @@ class InfeasibleAtom(Exception):
 class CompactionStuck(Exception):
     """Leftover groups cannot be folded to the target count within memory."""
 
-    def __init__(self, n_groups: int, target: int):
-        super().__init__(
-            f"stuck at {n_groups} groups with target {target}; "
-            f"no adjacent merge fits device memory")
+    def __init__(self, n_groups: int, target: int,
+                 why: str = "no adjacent merge fits device memory"):
+        super().__init__(f"stuck at {n_groups} groups with target {target}; {why}")
         self.n_groups = n_groups
         self.target = target
 
@@ -113,8 +115,9 @@ class _Grouping:
             if foreign:
                 self._value_traffic.append((g.value_size(vid, 1), owner, foreign))
 
-    def comp(self, group) -> float:
-        return sum(self.atom_comp[i] for i in group)
+    def rank(self, group: tuple[int, ...]) -> tuple[float, int]:
+        """Merge order: cheapest compute first, ties by smallest atom."""
+        return sum(self.atom_comp[i] for i in group), group[0]
 
     def mem(self, group: tuple[int, ...]) -> int:
         cached = self._mem_cache.get(group)
@@ -136,11 +139,19 @@ class _Grouping:
         return total
 
 
+def _group_index(groups: list[tuple[int, ...]], n_atoms: int) -> list[int]:
+    """Atom -> index of its group in `groups`."""
+    table = [0] * n_atoms
+    for gi, grp in enumerate(groups):
+        for a in grp:
+            table[a] = gi
+    return table
+
+
 def _coarsen_pass(groups: list[tuple[int, ...]], k: int, ctx: _Grouping):
     """One level of pairwise merges, cheapest groups first."""
-    gmap = {a: gi for gi, grp in enumerate(groups) for a in grp}
-    order = sorted(range(len(groups)),
-                   key=lambda gi: (ctx.comp(groups[gi]), groups[gi][0]))
+    gmap = _group_index(groups, ctx.n_atoms)
+    order = sorted(range(len(groups)), key=lambda gi: ctx.rank(groups[gi]))
     used: set[int] = set()
     partner: dict[int, int] = {}
     count = len(groups)
@@ -153,7 +164,7 @@ def _coarsen_pass(groups: list[tuple[int, ...]], k: int, ctx: _Grouping):
         cand_ids = {gmap[b] for a in v for b in ctx.neighbors[a]}
         cand_ids.discard(gi)
         cands = sorted((c for c in cand_ids if c not in used),
-                       key=lambda c: (ctx.comp(groups[c]), groups[c][0]))
+                       key=lambda c: ctx.rank(groups[c]))
         for gj in cands:
             merged = tuple(sorted(v + groups[gj]))
             if is_convex(merged, ctx.succ) and ctx.fits(merged):
@@ -162,66 +173,52 @@ def _coarsen_pass(groups: list[tuple[int, ...]], k: int, ctx: _Grouping):
                 used.add(gj)
                 count -= 1
                 break
-    absorbed = set(partner.values())
-    new_groups: list[tuple[int, ...]] = []
-    merges: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for gi, v in enumerate(groups):
-        if gi in absorbed:
-            continue
-        gj = partner.get(gi)
-        if gj is None:
-            new_groups.append(v)
-        else:
-            new_groups.append(tuple(sorted(v + groups[gj])))
-            merges.append((v, groups[gj]))
+    merges = [(groups[gi], groups[gj]) for gi, gj in sorted(partner.items())]
+    new_groups = [grp for gi, grp in enumerate(groups) if gi not in used]
+    new_groups += [tuple(sorted(v + w)) for v, w in merges]
     new_groups.sort(key=lambda grp: grp[0])
     return new_groups, merges
 
 
-def _member_map(level: list[tuple[int, ...]]) -> dict[int, int]:
-    return {a: gi for gi, grp in enumerate(level) for a in grp}
-
-
 def _uncoarsen(levels, transitions, ctx: _Grouping) -> None:
     """Walk merges back from coarsest to finest, moving one side of a pair
-    into a neighboring group when that strictly cuts total traffic."""
+    into a neighboring group when that strictly cuts total traffic.
+
+    A move rewrites each coarser level's table and group tuples in place; a
+    group keeps its index. Level li changes only under moves at finer levels,
+    which come later, so its groups are still the ones its merges recorded.
+    """
+    tables = [_group_index(level, ctx.n_atoms) for level in levels]
+    top = tables[-1]
     for li in range(len(transitions) - 1, -1, -1):
         for v, w in transitions[li]:
-            maps = [None] * len(levels)
-            for ell in range(li, len(levels)):
-                maps[ell] = _member_map(levels[ell])
-            top_map = maps[-1]
             base_traffic = None
-            best = None  # (saving, mover, target group index at level li)
+            best = None  # (saving, mover, target group at level li)
             for mover in (v, w):
-                here = top_map[mover[0]]
-                target_ids = {maps[li][b] for a in mover for b in ctx.neighbors[a]}
-                for ti in sorted(target_ids):
+                for ti in sorted({tables[li][b] for a in mover for b in ctx.neighbors[a]}):
                     target = levels[li][ti]
-                    if top_map[target[0]] == here or set(target) & set(mover):
+                    if top[target[0]] == top[mover[0]]:
                         continue
-                    if not _move_fits(mover, target, levels, li, maps, ctx):
+                    if not _move_fits(mover, target, levels, tables, li, ctx):
                         continue
                     if base_traffic is None:
-                        base_traffic = ctx.traffic(top_map)
-                    moved = dict(top_map)
-                    dest_block = top_map[target[0]]
+                        base_traffic = ctx.traffic(top)
+                    moved = list(top)
                     for a in mover:
-                        moved[a] = dest_block
+                        moved[a] = top[target[0]]
                     saving = base_traffic - ctx.traffic(moved)
                     if saving > 0 and (best is None or saving > best[0]):
-                        best = (saving, mover, ti)
+                        best = (saving, mover, target)
             if best is not None:
-                _apply_move(best[1], levels[li][best[2]], levels, li)
+                _apply_move(best[1], best[2], levels, tables, li)
 
 
-def _move_fits(mover, target, levels, li, maps, ctx: _Grouping) -> bool:
+def _move_fits(mover, target, levels, tables, li, ctx: _Grouping) -> bool:
     """Both touched groups stay convex and inside memory at every coarser level."""
     mover_set = set(mover)
-    for ell in range(li + 1, len(levels)):
-        m = maps[ell]
-        src = levels[ell][m[mover[0]]]
-        dst = levels[ell][m[target[0]]]
+    for level, table in zip(levels[li + 1:], tables[li + 1:]):
+        src = level[table[mover[0]]]
+        dst = level[table[target[0]]]
         shrunk = tuple(a for a in src if a not in mover_set)
         grown = tuple(sorted(dst + mover))
         if not shrunk:
@@ -233,47 +230,50 @@ def _move_fits(mover, target, levels, li, maps, ctx: _Grouping) -> bool:
     return True
 
 
-def _apply_move(mover, target, levels, li) -> None:
+def _apply_move(mover, target, levels, tables, li) -> None:
     mover_set = set(mover)
-    for ell in range(li + 1, len(levels)):
-        m = _member_map(levels[ell])
-        si, di = m[mover[0]], m[target[0]]
-        level = levels[ell]
+    for level, table in zip(levels[li + 1:], tables[li + 1:]):
+        si, di = table[mover[0]], table[target[0]]
         level[si] = tuple(a for a in level[si] if a not in mover_set)
         level[di] = tuple(sorted(level[di] + mover))
-        level.sort(key=lambda grp: grp[0])
+        for a in mover:
+            table[a] = di
 
 
-def _topo_groups(groups: list[tuple[int, ...]], ctx: _Grouping) -> list[tuple[int, ...]]:
-    """Group list in dependency order, ties broken by smallest atom index."""
-    gmap = _member_map(groups)
-    indeg = [0] * len(groups)
-    out: list[set[int]] = [set() for _ in range(len(groups))]
-    for a, b in _group_edges(ctx, gmap):
-        if b not in out[a]:
-            out[a].add(b)
-            indeg[b] += 1
-    heap = [(groups[gi][0], gi) for gi in range(len(groups)) if indeg[gi] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        _, gi = heapq.heappop(heap)
-        order.append(groups[gi])
-        for nb in out[gi]:
-            indeg[nb] -= 1
-            if indeg[nb] == 0:
-                heapq.heappush(heap, (groups[nb][0], nb))
-    assert len(order) == len(groups), "group contraction must stay acyclic"
-    return order
+def _topo_groups(groups: list[tuple[int, ...]], k: int,
+                 ctx: _Grouping) -> list[tuple[int, ...]]:
+    """Group list in dependency order, ties broken by smallest atom index.
 
-
-def _group_edges(ctx: _Grouping, gmap: dict[int, int]):
-    for a in range(ctx.n_atoms):
-        ga = gmap[a]
-        for b in ctx.succ[a]:
-            gb = gmap[b]
-            if ga != gb:
-                yield ga, gb
+    Convex groups can still depend on each other in a cycle; each cycle the
+    sorter reports is folded into one group before sorting again. Once the
+    group graph is acyclic, every group is convex as well."""
+    while True:
+        table = _group_index(groups, ctx.n_atoms)
+        preds: dict[int, set[int]] = {gi: set() for gi in range(len(groups))}
+        for a in range(ctx.n_atoms):
+            for b in ctx.succ[a]:
+                if table[a] != table[b]:
+                    preds[table[b]].add(table[a])
+        sorter = graphlib.TopologicalSorter(preds)
+        try:
+            sorter.prepare()
+        except graphlib.CycleError as exc:
+            cycle = set(exc.args[1])
+            union = tuple(sorted(a for gi in cycle for a in groups[gi]))
+            if not ctx.fits(union):
+                raise CompactionStuck(len(groups), k, f"folding a cycle of "
+                                      f"{len(cycle)} groups exceeds device memory")
+            groups = [grp for gi, grp in enumerate(groups) if gi not in cycle] + [union]
+            continue
+        heap: list[tuple[int, int]] = []
+        order = []
+        while sorter.is_active():
+            for gi in sorter.get_ready():
+                heapq.heappush(heap, (groups[gi][0], gi))
+            _, gi = heapq.heappop(heap)
+            order.append(groups[gi])
+            sorter.done(gi)
+        return order
 
 
 def _compact(glist: list[tuple[int, ...]], k: int, ctx: _Grouping) -> list[tuple[int, ...]]:
@@ -283,23 +283,21 @@ def _compact(glist: list[tuple[int, ...]], k: int, ctx: _Grouping) -> list[tuple
     only memory can refuse a merge here.
     """
     glist = list(glist)
+
+    def rank(gi):
+        return ctx.rank(glist[gi])
+
     while len(glist) > k:
-        order = sorted(range(len(glist)),
-                       key=lambda gi: (ctx.comp(glist[gi]), glist[gi][0]))
-        merged_at = None
-        for pos in order:
-            sides = [s for s in (pos - 1, pos + 1) if 0 <= s < len(glist)]
-            sides.sort(key=lambda s: (ctx.comp(glist[s]), glist[s][0]))
-            for side in sides:
-                union = tuple(sorted(glist[pos] + glist[side]))
-                if ctx.fits(union):
-                    lo = min(pos, side)
-                    glist[lo:lo + 2] = [union]
-                    merged_at = lo
-                    break
-            if merged_at is not None:
+        pairs = ((pos, side) for pos in sorted(range(len(glist)), key=rank)
+                 for side in sorted((s for s in (pos - 1, pos + 1)
+                                     if 0 <= s < len(glist)), key=rank))
+        for pos, side in pairs:
+            union = tuple(sorted(glist[pos] + glist[side]))
+            if ctx.fits(union):
+                lo = min(pos, side)
+                glist[lo:lo + 2] = [union]
                 break
-        if merged_at is None:
+        else:
             raise CompactionStuck(len(glist), k)
     return glist
 
@@ -586,13 +584,12 @@ def partition_blocks(partition: AtomicPartition, model: CostModel, k: int = 32) 
             break
         levels.append(new_groups)
         transitions.append(merges)
-    if transitions:
-        _uncoarsen(levels, transitions, ctx)
+    _uncoarsen(levels, transitions, ctx)
 
-    glist = _topo_groups(levels[-1], ctx)
+    glist = _topo_groups(levels[-1], k, ctx)
     if len(glist) > k:
         glist = _compact(glist, k, ctx)
-        glist = _topo_groups(glist, ctx)
+        glist = _topo_groups(glist, k, ctx)
 
     width = max(3, len(str(len(glist))))
     blocks = tuple(

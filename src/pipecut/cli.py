@@ -12,7 +12,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .atoms import build_atomic_subcomponents
 from .blocks import BlockSet, CompactionStuck, InfeasibleAtom, partition_blocks
@@ -43,25 +42,6 @@ from .stages import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    graph: str
-    cluster: str
-    cost_table: str | None = None
-    out: str = "."
-    k: int = 32
-    batch_size: int = 32
-    checkpointing: bool = True
-    disable_pruning: bool = False
-    oracle_check: bool = False
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise InvalidArgs("k must be at least 1")
-        if self.batch_size < 1:
-            raise InvalidArgs("batch size must be at least 1")
 
 
 def _env(name: str, fallback: str | None = None) -> str | None:
@@ -143,49 +123,35 @@ def _require(args, *names: str) -> None:
         raise ParseError(f"missing required argument(s): {flags}")
 
 
-def _run_config(args) -> RunConfig:
-    _require(args, "graph", "cluster")
-    return RunConfig(
-        graph=args.graph,
-        cluster=args.cluster,
-        cost_table=args.cost_table,
-        out=args.out,
-        k=args.k,
-        batch_size=args.batch_size,
-        checkpointing=args.checkpointing == "on",
-        disable_pruning=getattr(args, "disable_pruning", False),
-        oracle_check=getattr(args, "oracle_check", False),
-    )
+def _cost_config(args) -> CostModelConfig:
+    table = load_cost_table(args.cost_table) if args.cost_table else None
+    return CostModelConfig(checkpointing=args.checkpointing == "on",
+                           cost_table=table)
 
 
-def _build_blocks(cfg: RunConfig):
-    graph = load_graph(cfg.graph)
+def _plan_blocks(graph, cluster, model_cfg: CostModelConfig, k: int) -> BlockSet:
+    """Graph -> atoms -> cost model -> at most k blocks."""
+    partition = build_atomic_subcomponents(graph)
+    model = CostModel(partition.graph, model_cfg, cluster)
+    return partition_blocks(partition, model, k=k)
+
+
+def _load_blocks(args):
+    """The cluster and the blocks of the `--graph` and `--cluster` files."""
+    graph = load_graph(args.graph)
     violations = validate_graph(graph)
     if violations:
         raise ValidationError(violations)
-    cluster = load_cluster(cfg.cluster)
-    table = load_cost_table(cfg.cost_table) if cfg.cost_table else None
-    model_cfg = CostModelConfig(checkpointing=cfg.checkpointing,
-                                cost_table=table)
-    partition = build_atomic_subcomponents(graph)
-    model = CostModel(partition.graph, model_cfg, cluster)
-    blocks = partition_blocks(partition, model, k=cfg.k)
-    return cluster, blocks
+    cluster = load_cluster(args.cluster)
+    return cluster, _plan_blocks(graph, cluster, _cost_config(args), args.k)
 
 
 def cmd_generate(args) -> int:
-    if args.layers < 1:
-        print("error: --layers must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
     try:
         if args.model == "bert":
-            if args.hidden < 1 or args.seq < 1 or args.vocab < 1:
-                raise ValueError("bert sizes must be positive")
             graph = gen_bert_like(args.hidden, args.layers, args.seq,
                                   args.vocab)
         else:
-            if args.width < 1:
-                raise ValueError("--width must be at least 1")
             graph = gen_resnet_like(args.layers, args.width)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -207,11 +173,11 @@ def _stage_table(plan: Plan) -> str:
 
 
 def cmd_partition(args) -> int:
-    cfg = _run_config(args)
-    cluster, blocks = _build_blocks(cfg)
-    opts = SearchOptions(disable_pruning=cfg.disable_pruning)
+    _require(args, "graph", "cluster")
+    cluster, blocks = _load_blocks(args)
+    opts = SearchOptions(disable_pruning=args.disable_pruning)
     result = form_stage(cluster.num_nodes, cluster.devices_per_node,
-                        cfg.batch_size, blocks, opts)
+                        args.batch_size, blocks, opts)
     if result.plan is None:
         print("infeasible: no stage assignment fits this cluster",
               file=sys.stderr)
@@ -225,10 +191,10 @@ def cmd_partition(args) -> int:
         return EXIT_INPUT
 
     oracle_note = "skipped"
-    if cfg.oracle_check:
+    if args.oracle_check:
         try:
             ref = brute_force_partition(blocks, len(plan.stages),
-                                        plan.devices_total, cfg.batch_size,
+                                        plan.devices_total, args.batch_size,
                                         plan.replica_factor, plan.microbatches)
         except TooLarge:
             oracle_note = "instance too large"
@@ -240,22 +206,22 @@ def cmd_partition(args) -> int:
             oracle_note = "passed"
 
     sched = simulate(plan, blocks)
-    os.makedirs(cfg.out, exist_ok=True)
-    plan_path = os.path.join(cfg.out, "plan.json")
+    os.makedirs(args.out, exist_ok=True)
+    plan_path = os.path.join(args.out, "plan.json")
     with open(plan_path, "w") as fh:
         json.dump(plan.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(os.path.join(cfg.out, "blocks.json"), "w") as fh:
+    with open(os.path.join(args.out, "blocks.json"), "w") as fh:
         json.dump(blocks.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     report = [
         "pipecut partition report",
-        f"graph: {cfg.graph}",
+        f"graph: {args.graph}",
         f"cluster: {cluster.num_nodes} node(s) x {cluster.devices_per_node} "
         f"device(s), {cluster.device_memory_bytes} bytes each",
-        f"batch_size: {cfg.batch_size}  k: {cfg.k}  checkpointing: "
-        f"{'on' if cfg.checkpointing else 'off'}",
+        f"batch_size: {args.batch_size}  k: {args.k}  checkpointing: "
+        f"{args.checkpointing}",
         f"blocks: {len(blocks.blocks)}  search_visits: {result.stats.visits}  "
         f"dp_calls: {result.stats.dp_calls}  oracle_check: {oracle_note}",
         "",
@@ -269,7 +235,7 @@ def cmd_partition(args) -> int:
         f"{throughput(sched, plan.batch_size):.9g}",
         f"bubble_fraction: {sched.bubble_fraction:.9g}",
     ]
-    with open(os.path.join(cfg.out, "report.txt"), "w") as fh:
+    with open(os.path.join(args.out, "report.txt"), "w") as fh:
         fh.write("\n".join(report) + "\n")
 
     print(f"wrote {plan_path}: {len(plan.stages)} stage(s), "
@@ -278,24 +244,23 @@ def cmd_partition(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _run_config(args)
-    _require(args, "plan")
+    _require(args, "graph", "cluster", "plan")
     with open(args.plan) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{args.plan}: {exc}") from exc
     plan = Plan.from_json(doc)
-    _, blocks = _build_blocks(cfg)
+    _, blocks = _load_blocks(args)
     sched = simulate(plan, blocks)
     print(f"iteration_time_sec: {sched.iteration_time_sec:.9g}")
     print(f"throughput_samples_per_sec: "
           f"{throughput(sched, plan.batch_size):.9g}")
     print(f"bubble_fraction: {sched.bubble_fraction:.9g}")
     if args.gantt:
-        os.makedirs(cfg.out, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)
         ext = "txt" if args.gantt == "text" else "svg"
-        path = os.path.join(cfg.out, f"gantt.{ext}")
+        path = os.path.join(args.out, f"gantt.{ext}")
         with open(path, "w") as fh:
             fh.write(render_gantt(sched, mode=args.gantt))
         print(f"wrote {path}")
@@ -334,10 +299,7 @@ def cmd_sweep(args) -> int:
     hiddens = _int_list(args.hidden, "--hidden")
     layer_counts = _int_list(args.layers, "--layers")
     cluster = load_cluster(args.cluster)
-    table = load_cost_table(args.cost_table) if args.cost_table else None
-    model_cfg = CostModelConfig(checkpointing=args.checkpointing == "on",
-                                cost_table=table)
-    total_devices = cluster.num_nodes * cluster.devices_per_node
+    model_cfg = _cost_config(args)
 
     rows = []
     any_ok = False
@@ -348,15 +310,13 @@ def cmd_sweep(args) -> int:
             row.update(hidden=hidden, layers=layers,
                        params=count_params(graph))
             try:
-                partition = build_atomic_subcomponents(graph)
-                model = CostModel(partition.graph, model_cfg, cluster)
-                blocks = partition_blocks(partition, model, k=args.k)
+                blocks = _plan_blocks(graph, cluster, model_cfg, args.k)
             except (InfeasibleAtom, CompactionStuck):
                 row.update(status="INFEASIBLE", data_parallel="INFEASIBLE")
                 rows.append(row)
                 continue
             row["data_parallel"] = (
-                "ok" if _pure_data_parallel_ok(blocks, total_devices,
+                "ok" if _pure_data_parallel_ok(blocks, cluster.num_devices,
                                                args.batch_size)
                 else "INFEASIBLE")
             plan = form_stage(cluster.num_nodes, cluster.devices_per_node,
@@ -397,6 +357,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("k", "batch_size", "seq", "vocab"):
+            if getattr(args, name, 1) < 1:
+                raise InvalidArgs(f"--{name.replace('_', '-')} must be at least 1")
         return args.func(args)
     except (InfeasibleAtom, CompactionStuck) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -407,15 +407,11 @@ def cluster_from_json(doc: Mapping[str, Any]) -> ClusterSpec:
         {"num_nodes", "devices_per_node", "device_memory_bytes", "bw_intra", "bw_inter"},
         "cluster",
     )
+    counts = ("num_nodes", "devices_per_node", "device_memory_bytes")
+    fields = {name: parse_amount(raw, f"cluster {name}", whole=name in counts)
+              for name, raw in doc.items()}
     try:
-        return ClusterSpec(
-            num_nodes=int(doc["num_nodes"]),
-            devices_per_node=int(doc["devices_per_node"]),
-            device_memory_bytes=int(doc["device_memory_bytes"]),
-            bw_intra=float(doc["bw_intra"]),
-            bw_inter=float(doc["bw_inter"]),
-            link_latency_sec=float(doc.get("link_latency_sec", 0.0)),
-        )
+        return ClusterSpec(**fields)
     except ValueError as exc:
         raise ValidationError([Violation("cluster", (), str(exc))]) from exc
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from .blocks import BlockSet
 from .stages import InvalidPlan, Plan, replay, validate_plan
 
-PHASES = ("fwd", "recompute", "bwd", "comm", "allreduce")
-
 
 @dataclass(frozen=True)
 class Event:

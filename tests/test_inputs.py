@@ -200,3 +200,30 @@ class TestSweepOut:
         out = tmp_path / "grid.csv"
         assert main(self.ARGS + ["--cluster", cluster, "--out", str(out)]) == 0
         assert out.is_file()
+
+
+class TestClusterNumbers:
+    # JSON text, not json.dumps: 1e400 is a literal that reads as infinity
+    @pytest.mark.parametrize("field, text", [("num_nodes", "null"),
+                                             ("device_memory_bytes", "1e400"),
+                                             ("num_nodes", "1.9")])
+    def test_bad_number_is_an_input_error(self, tmp_path, capsys, field, text):
+        doc = {"num_nodes": 1, "devices_per_node": 2, "device_memory_bytes": 2**34,
+               "bw_intra": 50e9, "bw_inter": 10e9, field: "@"}
+        cluster = tmp_path / "c.json"
+        cluster.write_text(json.dumps(doc).replace('"@"', text))
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps(chain_doc()))
+        assert main(["partition", "--graph", str(graph), "--cluster", str(cluster),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert f"cluster {field}" in one_error_line(capsys)
+
+
+class TestCounts:
+    @pytest.mark.parametrize("flag", ["--k", "--batch-size", "--seq", "--vocab"])
+    def test_sweep_rejects_zero(self, tmp_path, capsys, flag):
+        assert main(["sweep", "--cluster", write_cluster(tmp_path / "c.json"),
+                     "--hidden", "64", "--layers", "2", "--seq", "16", "--vocab", "100",
+                     flag, "0", "--out", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {flag} must be at least 1"]
