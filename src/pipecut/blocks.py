@@ -10,8 +10,15 @@ list-adjacent groups whenever coarsening stalled short of the target.
 
 Every group must fit device memory (`CostModel.fits`) at microbatch 1 with
 checkpointing on; that is the floor any later stage assignment has to clear
-as well. The resulting `BlockSet` owns the span profiles and the boundary
-transfer times that stage search, plan checking and replay share.
+as well. A group's memory is composed from per-atom terms built once
+(parameter bytes, inputs with their owners, each task's working set and its
+reads of other atoms' values) and equals `CostModel.profile` on the merged
+group; a candidate move is scored by its traffic gain over only the values
+the mover's atoms own or read, the Fiduccia-Mattheyses gain (1982), which
+equals the difference of two whole-graph recounts. Only the final blocks are
+profiled by walking their nodes. The resulting `BlockSet` owns the span
+profiles and the boundary transfer times that stage search, plan checking
+and replay share.
 
 `BlockSet.profile` composes a span's `CostRecord` from per-block terms in
 constant time instead of walking the span's nodes, the way PipeDream's
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import graphlib
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -85,10 +93,12 @@ def is_convex(group, succ) -> bool:
 
 
 class _Grouping:
-    """Shared state for the three phases: adjacency, costs, feasibility."""
+    """Shared state for the three phases: adjacency, costs, feasibility.
+
+    Group memory and move gains are composed from per-atom terms built once
+    here, so neither walks the graph or materializes a subcomponent."""
 
     def __init__(self, partition: AtomicPartition, model: CostModel):
-        self.partition = partition
         self.model = model
         self.budget = model.cluster.device_memory_bytes
         n = len(partition.atoms)
@@ -100,43 +110,95 @@ class _Grouping:
             self.pred[b].append(a)
         self.neighbors: list[list[int]] = [
             sorted(set(self.succ[i]) | set(self.pred[i])) for i in range(n)]
-        self.atom_comp = []
-        self._mem_cache: dict[tuple[int, ...], int] = {}
-        for i, atom in enumerate(partition.atoms):
-            rec = model.profile(atom, 1, checkpointing=True)
-            self.atom_comp.append(rec.t_fwd_sec + rec.t_bwd_sec)
-            self._mem_cache[(i,)] = rec.mem_bytes
+
+        # per atom, at microbatch 1 with checkpointing on: parameter bytes;
+        # (value index, bytes, owner atom or -1 for a graph input) of each
+        # input; the largest working set of its tasks that read nothing
+        # another atom owns, and (own working set, reads) of the others
         g = partition.graph
+        value_index = {vid: i for i, vid in enumerate(g.value_ids())}
+        owner_of = partition.owner_of_value
+        self.atom_comp: list[float] = []
+        self._params: list[int] = []
+        self._inputs: list[tuple[tuple[int, int, int], ...]] = []
+        self._own_peak: list[int] = []
+        self._reaching: list[list[tuple[int, list[tuple[int, int]]]]] = []
+        for a, atom in enumerate(partition.atoms):
+            params = 0
+            shapes: list[_TaskShape] = []
+            for nid in atom.node_ids:
+                node = g.nodes[nid]
+                if node.is_task:
+                    shapes.append(_task_shape(g, nid, a, owner_of))
+                elif node.value.is_param:
+                    params += node.value.fixed_bytes
+            t_fwd, t_bwd, _, own_peak, reaching = _task_terms(model, shapes, 1)
+            self.atom_comp.append(math.fsum(t_fwd) + math.fsum(t_bwd))
+            self._params.append(params)
+            self._inputs.append(tuple(
+                (value_index[vid], g.value_size(vid, 1),
+                 -1 if vid in g.inputs else owner_of(vid))
+                for vid in atom.input_values))
+            self._own_peak.append(own_peak)
+            self._reaching.append(reaching)
+
+        # (bytes, owner atom, foreign consumer atoms) of each value read
+        # outside its owner, and per atom the entries it owns or reads
         self._value_traffic: list[tuple[int, int, tuple[int, ...]]] = []
+        self._touching: list[list[int]] = [[] for _ in range(n)]
         for vid in g.value_ids():
             consumers = partition.consumer_atoms(vid)
-            owner = partition.owner_of_value(vid)
+            owner = owner_of(vid)
             foreign = tuple(sorted(consumers - {owner}))
             if foreign:
+                vi = len(self._value_traffic)
                 self._value_traffic.append((g.value_size(vid, 1), owner, foreign))
+                for a in (owner, *foreign):
+                    self._touching[a].append(vi)
 
     def rank(self, group: tuple[int, ...]) -> tuple[float, int]:
         """Merge order: cheapest compute first, ties by smallest atom."""
         return sum(self.atom_comp[i] for i in group), group[0]
 
     def mem(self, group: tuple[int, ...]) -> int:
-        cached = self._mem_cache.get(group)
-        if cached is None:
-            sub = self.partition.merged(group, "probe")
-            cached = self.model.profile(sub, 1, checkpointing=True).mem_bytes
-            self._mem_cache[group] = cached
-        return cached
+        """`CostModel.profile` memory of the merged group at microbatch 1
+        with checkpointing on, from the members' terms: each input from
+        outside the group once, plus the largest task working set, where a
+        read of a value another member owns stays in the working set."""
+        members = set(group)
+        seen: set[int] = set()
+        params = input_bytes = peak = 0
+        for a in group:
+            params += self._params[a]
+            for vi, size, owner in self._inputs[a]:
+                if owner not in members and vi not in seen:
+                    seen.add(vi)
+                    input_bytes += size
+            peak = max(peak, self._own_peak[a])
+            for own, reads in self._reaching[a]:
+                peak = max(peak, own + sum(size for owner, size in reads
+                                           if owner in members))
+        return self.model.training_bytes(params, input_bytes + peak)
 
     def fits(self, group: tuple[int, ...]) -> bool:
         return self.model.fits(self.mem(group))
 
-    def traffic(self, block_of: dict[int, int]) -> int:
-        """Bytes per sample shipped between blocks, one copy per foreign block."""
-        total = 0
-        for size, owner, consumers in self._value_traffic:
-            home = block_of[owner]
-            total += size * len({block_of[c] for c in consumers} - {home})
-        return total
+    def gain(self, mover: tuple[int, ...], dest: int, table: list[int]) -> int:
+        """Traffic saved by moving the mover's atoms into group `dest` of the
+        atom -> group `table`: bytes per sample shipped between groups, one
+        copy per foreign group, before the move minus after it. Only values
+        the mover's atoms own or read can change, so only those are summed
+        (the Fiduccia-Mattheyses gain)."""
+        moved = set(mover)
+        saving = 0
+        for vi in {vi for a in mover for vi in self._touching[a]}:
+            size, owner, consumers = self._value_traffic[vi]
+            home = table[owner]
+            before = len({table[c] for c in consumers} - {home})
+            home = dest if owner in moved else home
+            after = len({dest if c in moved else table[c] for c in consumers} - {home})
+            saving += size * (before - after)
+        return saving
 
 
 def _group_index(groups: list[tuple[int, ...]], n_atoms: int) -> list[int]:
@@ -184,6 +246,9 @@ def _uncoarsen(levels, transitions, ctx: _Grouping) -> None:
     """Walk merges back from coarsest to finest, moving one side of a pair
     into a neighboring group when that strictly cuts total traffic.
 
+    Each candidate is scored by its gain first and checked for convexity and
+    memory only when it would become the best so far; the checks change
+    nothing, so this picks the same move as checking every candidate first.
     A move rewrites each coarser level's table and group tuples in place; a
     group keeps its index. Level li changes only under moves at finer levels,
     which come later, so its groups are still the ones its merges recorded.
@@ -192,22 +257,17 @@ def _uncoarsen(levels, transitions, ctx: _Grouping) -> None:
     top = tables[-1]
     for li in range(len(transitions) - 1, -1, -1):
         for v, w in transitions[li]:
-            base_traffic = None
             best = None  # (saving, mover, target group at level li)
             for mover in (v, w):
                 for ti in sorted({tables[li][b] for a in mover for b in ctx.neighbors[a]}):
                     target = levels[li][ti]
-                    if top[target[0]] == top[mover[0]]:
+                    dest = top[target[0]]
+                    if dest == top[mover[0]]:
                         continue
-                    if not _move_fits(mover, target, levels, tables, li, ctx):
+                    saving = ctx.gain(mover, dest, top)
+                    if saving <= 0 or (best is not None and saving <= best[0]):
                         continue
-                    if base_traffic is None:
-                        base_traffic = ctx.traffic(top)
-                    moved = list(top)
-                    for a in mover:
-                        moved[a] = top[target[0]]
-                    saving = base_traffic - ctx.traffic(moved)
-                    if saving > 0 and (best is None or saving > best[0]):
+                    if _move_fits(mover, target, levels, tables, li, ctx):
                         best = (saving, mover, target)
             if best is not None:
                 _apply_move(best[1], best[2], levels, tables, li)
@@ -303,13 +363,63 @@ def _compact(glist: list[tuple[int, ...]], k: int, ctx: _Grouping) -> list[tuple
 
 
 class _TaskShape(NamedTuple):
-    """What a task adds to its block's profile terms, independent of the
-    microbatch; sizes are (fixed bytes, bytes per sample) pairs."""
+    """What a task adds to the memory terms of its home (an atom or a block),
+    independent of the microbatch; sizes are (fixed bytes, bytes per sample)
+    pairs. Parameters and graph inputs are in none of them."""
 
     info: TaskInfo
     produced: tuple             # non-parameter values it writes
-    local_reads: tuple          # non-parameter values it reads from its block
-    earlier_reads: tuple        # (owner block, fixed, per sample) from below
+    local_reads: tuple          # values it reads that its home owns
+    foreign_reads: tuple        # (owner, fixed, per sample) of the others
+
+
+def _task_shape(g, nid: str, home: int, owner_of) -> _TaskShape:
+    """The shape of task `nid` in `home`, given value id -> owner index."""
+
+    def sizes(vid):
+        info = g.nodes[vid].value
+        return None if info.is_param else (info.fixed_bytes, info.bytes_per_sample)
+
+    produced = tuple(sz for sz in map(sizes, g.succ(nid)) if sz is not None)
+    local: list[tuple[int, int]] = []
+    foreign: list[tuple[int, int, int]] = []
+    for vid in g.pred(nid):
+        sz = sizes(vid)
+        if sz is None or vid in g.inputs:
+            continue  # parameters, and graph inputs, which are inputs anywhere
+        owner = owner_of(vid)
+        if owner == home:
+            local.append(sz)
+        else:
+            foreign.append((owner, *sz))
+    return _TaskShape(g.nodes[nid].task, produced, tuple(local), tuple(foreign))
+
+
+def _task_terms(model: CostModel, shapes: list[_TaskShape], m: int):
+    """The terms a home's tasks add to `CostModel.profile` at microbatch m:
+    forward and backward seconds per task; the bytes they produce (a
+    cost-table `act_bytes` replaces a task's own); the largest checkpointing
+    working set (produced plus local reads) of the tasks that read nothing
+    another home owns; and (own working set, [(owner, bytes)]) of the
+    others, whose foreign reads join the working set only where their owner
+    shares the task's group or span."""
+    t_fwd: list[float] = []
+    t_bwd: list[float] = []
+    produced_total = own_peak = 0
+    reaching: list[tuple[int, list[tuple[int, int]]]] = []
+    for shape in shapes:
+        tf, tb, produced = model.task_cost(shape.info, m)
+        t_fwd.append(tf)
+        t_bwd.append(tb)
+        if produced is None:
+            produced = sum(f + m * s for f, s in shape.produced)
+        produced_total += produced
+        own = produced + sum(f + m * s for f, s in shape.local_reads)
+        if shape.foreign_reads:
+            reaching.append((own, [(ob, f + m * s) for ob, f, s in shape.foreign_reads]))
+        else:
+            own_peak = max(own_peak, own)
+    return t_fwd, t_bwd, produced_total, own_peak, reaching
 
 
 def _exact_prefix(per_block: list[list[float]]) -> tuple[int, list[int]]:
@@ -338,32 +448,17 @@ class _SpanTerms:
         self.resident = [0] * (n + 1)   # prefix sums, checkpointing off
         # largest working set of a block's tasks that read nothing from an
         # earlier block, and (own working set, earlier reads) of the others
-        self.own_peak = [0] * n
-        self.reaching: list[list[tuple[int, list[tuple[int, int]]]]] = [
-            [] for _ in range(n)]
+        self.own_peak: list[int] = []
+        self.reaching: list[list[tuple[int, list[tuple[int, int]]]]] = []
         self._peak_rows: dict[int, list[int]] = {}
         for b, shapes in enumerate(blocks._task_shapes):
             fixed, per_sample = blocks._source_bytes[b]
-            resident = fixed + m * per_sample
-            tfs: list[float] = []
-            tbs: list[float] = []
-            for shape in shapes:
-                tf, tb, act_bytes = model.task_cost(shape.info, m)
-                tfs.append(tf)
-                tbs.append(tb)
-                produced = act_bytes
-                if produced is None:
-                    produced = sum(f + m * s for f, s in shape.produced)
-                resident += produced
-                own = produced + sum(f + m * s for f, s in shape.local_reads)
-                if shape.earlier_reads:
-                    self.reaching[b].append(
-                        (own, [(ob, f + m * s) for ob, f, s in shape.earlier_reads]))
-                else:
-                    self.own_peak[b] = max(self.own_peak[b], own)
+            tfs, tbs, produced, own_peak, reaching = _task_terms(model, shapes, m)
             t_fwd.append(tfs)
             t_bwd.append(tbs)
-            self.resident[b + 1] = self.resident[b] + resident
+            self.resident[b + 1] = self.resident[b] + fixed + m * per_sample + produced
+            self.own_peak.append(own_peak)
+            self.reaching.append(reaching)
         self.fwd_denom, self.t_fwd = _exact_prefix(t_fwd)
         self.bwd_denom, self.t_bwd = _exact_prefix(t_bwd)
 
@@ -440,7 +535,7 @@ class BlockSet:
             for nid in sub.node_ids:
                 node = g.nodes[nid]
                 if node.is_task:
-                    shapes.append(self._task_shape(nid, b, value_block))
+                    shapes.append(_task_shape(g, nid, b, value_block.__getitem__))
                 elif node.value.is_param:
                     params += node.value.fixed_bytes
                 elif nid not in inputs and g.producer(nid) is None:
@@ -449,27 +544,6 @@ class BlockSet:
             self._params[b + 1] = self._params[b] + params
             self._source_bytes.append((fixed, per_sample))
             self._task_shapes.append(shapes)
-
-    def _task_shape(self, nid: str, b: int, value_block: dict[str, int]) -> _TaskShape:
-        g = self.partition.graph
-
-        def sizes(vid):
-            info = g.nodes[vid].value
-            return None if info.is_param else (info.fixed_bytes, info.bytes_per_sample)
-
-        produced = tuple(sz for sz in map(sizes, g.succ(nid)) if sz is not None)
-        local: list[tuple[int, int]] = []
-        earlier: list[tuple[int, int, int]] = []
-        for vid in g.pred(nid):
-            sz = sizes(vid)
-            if sz is None or vid in g.inputs:
-                continue  # parameters, and graph inputs, which are span inputs
-            owner = value_block[vid]
-            if owner == b:
-                local.append(sz)
-            else:
-                earlier.append((owner, *sz))
-        return _TaskShape(g.nodes[nid].task, produced, tuple(local), tuple(earlier))
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -530,13 +604,11 @@ class BlockSet:
             acts += terms.peak_row(lo)[hi]
         else:
             acts += terms.resident[hi] - terms.resident[lo]
-        cfg = self.model.config
-        mem = int((self._params[hi] - self._params[lo])
-                  * (1.0 + cfg.grad_factor + cfg.optimizer_state_factor) + acts)
         return CostRecord(
             t_fwd_sec=(terms.t_fwd[hi] - terms.t_fwd[lo]) / terms.fwd_denom,
             t_bwd_sec=(terms.t_bwd[hi] - terms.t_bwd[lo]) / terms.bwd_denom,
-            mem_bytes=mem)
+            mem_bytes=self.model.training_bytes(
+                self._params[hi] - self._params[lo], acts))
 
     def cut_time(self, cut: int, microbatch: int, cum_devices: int) -> float:
         """Transfer time of the boundary at `cut` for one microbatch slice.

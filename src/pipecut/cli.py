@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .atoms import build_atomic_subcomponents
+from .atoms import DanglingOutput, NoNonConstantTask, build_atomic_subcomponents
 from .blocks import BlockSet, CompactionStuck, InfeasibleAtom, partition_blocks
 from .costs import CostModel, CostModelConfig, load_cost_table
 from .generators import gen_bert_like, gen_resnet_like
@@ -24,6 +24,7 @@ from .graph import (
     count_params,
     load_cluster,
     load_graph,
+    read_json,
     save_graph,
     validate_graph,
 )
@@ -186,8 +187,7 @@ def cmd_partition(args) -> int:
 
     bad = validate_plan(plan, blocks)
     if bad:
-        for v in bad:
-            print(f"internal error: {v.describe()}", file=sys.stderr)
+        print(f"internal error: {InvalidPlan(bad)}", file=sys.stderr)
         return EXIT_INPUT
 
     oracle_note = "skipped"
@@ -245,12 +245,7 @@ def cmd_partition(args) -> int:
 
 def cmd_simulate(args) -> int:
     _require(args, "graph", "cluster", "plan")
-    with open(args.plan) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.plan}: {exc}") from exc
-    plan = Plan.from_json(doc)
+    plan = Plan.from_json(read_json(args.plan))
     _, blocks = _load_blocks(args)
     sched = simulate(plan, blocks)
     print(f"iteration_time_sec: {sched.iteration_time_sec:.9g}")
@@ -364,12 +359,14 @@ def main(argv=None) -> int:
     except (InfeasibleAtom, CompactionStuck) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValidationError as exc:
-        for v in exc.violations:
-            print(f"error: {v.describe()}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ParseError, CycleError, InvalidPlan, InvalidArgs) as exc:
+    except (ParseError, ValidationError, CycleError, NoNonConstantTask,
+            DanglingOutput, InvalidPlan, InvalidArgs) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OverflowError as exc:
+        # task times that sum past the float range, from a graph or cost
+        # table whose numbers are each finite
+        print(f"error: input numbers out of range: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

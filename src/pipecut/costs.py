@@ -16,13 +16,12 @@ from per-block terms without walking a span's nodes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
 from .atoms import Subcomponent
-from .graph import ClusterSpec, ParseError, TaskGraph, TaskInfo, parse_amount
+from .graph import ClusterSpec, ParseError, TaskGraph, TaskInfo, parse_amount, read_json
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,7 @@ def load_cost_table(path: str) -> dict[str, CostTableEntry]:
     """Read measured costs, rejecting entries that could not be looked up
     (a `microbatch` other than the key's `mb=`) or that hold a non-numeric,
     negative or non-finite number."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ParseError("cost table must be an object of op_sig -> record")
     table: dict[str, CostTableEntry] = {}
@@ -137,7 +132,6 @@ class CostModel:
         if checkpointing is None:
             checkpointing = self.config.checkpointing
         g = self.graph
-        cfg = self.config
         inputs = set(sub.input_values)
 
         t_fwd: list[float] = []
@@ -177,10 +171,15 @@ class CostModel:
             max_footprint = max(max_footprint, footprint)
 
         activations = input_bytes + (max_footprint if checkpointing else resident)
-        mem = int(param_bytes * (1.0 + cfg.grad_factor + cfg.optimizer_state_factor)
-                  + activations)
         return CostRecord(t_fwd_sec=math.fsum(t_fwd), t_bwd_sec=math.fsum(t_bwd),
-                          mem_bytes=mem)
+                          mem_bytes=self.training_bytes(param_bytes, activations))
+
+    def training_bytes(self, param_bytes: int, activation_bytes: int) -> int:
+        """Peak training memory: parameters with their gradients and optimizer
+        state, plus activations. Every memory figure goes through this."""
+        cfg = self.config
+        return int(param_bytes * (1.0 + cfg.grad_factor + cfg.optimizer_state_factor)
+                   + activation_bytes)
 
     def fits(self, mem_bytes: int) -> bool:
         """The one memory rule for blocks and stages: strictly under a device."""

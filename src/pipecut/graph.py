@@ -10,7 +10,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -216,7 +215,11 @@ def parse_amount(raw: Any, what: str, whole: bool = False) -> float | int:
     Anything else raises ParseError naming `what`."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ParseError(f"{what} must be a number, got {raw!r}")
-    if not math.isfinite(raw) or raw < 0:
+    try:
+        finite = math.isfinite(raw)
+    except OverflowError:  # an integer past the float range
+        finite = False
+    if not finite or raw < 0:
         raise ParseError(f"{what} must be finite and non-negative, got {raw!r}")
     if not whole:
         return float(raw)
@@ -274,8 +277,12 @@ def graph_from_json(doc: Mapping[str, Any]) -> TaskGraph:
         if not (isinstance(e, list) and len(e) == 2):
             raise ParseError(f"graph: edge {e!r} must be a [src, dst] pair")
         edges.append((e[0], e[1]))
+    ends = {key: doc.get(key, []) for key in ("inputs", "outputs")}
+    for key, ids in ends.items():
+        if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+            raise ParseError(f"graph: {key} must be an array of value ids")
     try:
-        g = TaskGraph(nodes, edges, doc.get("inputs", ()), doc.get("outputs", ()))
+        g = TaskGraph(nodes, edges, ends["inputs"], ends["outputs"])
     except ValidationError:
         raise
     except ValueError as exc:
@@ -283,20 +290,23 @@ def graph_from_json(doc: Mapping[str, Any]) -> TaskGraph:
     violations = validate_graph(g)
     if violations:
         raise ValidationError(violations)
-    flagged = constant_only_outputs(g)
-    if flagged:
-        warnings.warn(f"model outputs reachable only from constants: {flagged}", stacklevel=2)
     return g
+
+
+def read_json(path: str) -> Any:
+    """The document in a JSON file. Text that does not decode, does not
+    parse, holds an integer too long to convert or nests too deeply raises
+    ParseError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_graph(path: str) -> TaskGraph:
     """Load a graph JSON file, rejecting unknown fields and invalid graphs."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    return graph_from_json(doc)
+    return graph_from_json(read_json(path))
 
 
 def graph_to_json(g: TaskGraph) -> dict[str, Any]:
@@ -382,12 +392,6 @@ def validate_graph(g: TaskGraph) -> list[Violation]:
     return out
 
 
-def constant_only_outputs(g: TaskGraph) -> list[str]:
-    """Model outputs reachable from parameters/constants but from no input."""
-    from_inputs = _forward_reach(g, g.inputs)
-    return sorted(oid for oid in g.outputs if oid not in from_inputs)
-
-
 def count_params(g: TaskGraph, bytes_per_element: int = 4) -> int:
     """Total parameter element count, assuming a uniform element width."""
     total = 0
@@ -417,9 +421,4 @@ def cluster_from_json(doc: Mapping[str, Any]) -> ClusterSpec:
 
 
 def load_cluster(path: str) -> ClusterSpec:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    return cluster_from_json(doc)
+    return cluster_from_json(read_json(path))

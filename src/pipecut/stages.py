@@ -235,6 +235,10 @@ def _run_dp(blocks: BlockSet, S: int, D: int, batch_size: int, R: int, MB: int,
     fits = blocks.model.fits
     ckpt = _ckpt(blocks, S)
     stats.dp_calls += 1
+    if D > S * _share(batch_size, MB, R, 1):
+        # every stage's devices need a positive share and the last cell
+        # needs all D of them, so no cell at (nb, D) can fill
+        return None
 
     # Each cell keeps every non-dominated (running max tf, running max tb)
     # pair instead of a single value: a prefix with the larger forward
@@ -388,9 +392,7 @@ def form_stage(num_nodes: int, devices_per_node: int, batch_size: int,
             D = devices_per_node * n
             R = num_nodes // n
             candidates: list[Plan] = []
-            for S in range(devices_per_node * (n - 1) + 1, D + 1):
-                if S > nb:
-                    continue
+            for S in range(devices_per_node * (n - 1) + 1, min(D, nb) + 1):
                 MB = 1
                 while MB * R <= batch_size:
                     plan = _run_dp(blocks, S, D, batch_size, R, MB, opts, stats)

@@ -1,16 +1,22 @@
 """Bad input exits with code 1 and a one-line message, never a traceback."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pipecut
 from pipecut.cli import main
 from pipecut.costs import load_cost_table
 from pipecut.generators import gen_bert_like
 from pipecut.graph import ParseError, graph_from_json, graph_to_json, save_graph
-from pipecut.stages import Plan
+from pipecut.stages import Plan, brute_force_partition, form_stage_dp
 
 from test_cli import write_cluster
+from test_stages import blockset_for, stage_chain
 
 
 def one_error_line(capsys) -> str:
@@ -227,3 +233,101 @@ class TestCounts:
                      flag, "0", "--out", str(tmp_path / "s.csv")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {flag} must be at least 1"]
+
+
+class TestHugeClusters:
+    """A device count far past the batch used to make stage search loop
+    over every device count; now such a run is infeasible at once."""
+
+    @pytest.mark.parametrize("field", ["devices_per_node", "num_nodes"])
+    def test_partition_and_sweep_exit_2(self, tmp_path, field):
+        src = Path(pipecut.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        path = tmp_path / "c.json"
+        write_cluster(path)
+        cluster = json.loads(path.read_text())
+        cluster[field] = 1e308
+        path.write_text(json.dumps(cluster))
+        graph = tmp_path / "g.json"
+        save_graph(gen_bert_like(64, 2, 16, 100), str(graph))
+        runs = {
+            "partition": ["--graph", str(graph)],
+            "sweep": ["--hidden", "64", "--layers", "2", "--seq", "16", "--vocab", "100"],
+        }
+        for cmd, args in runs.items():
+            proc = subprocess.run(
+                [sys.executable, "-m", "pipecut.cli", cmd, *args,
+                 "--cluster", str(path), "--out", str(tmp_path / cmd)],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 2, (cmd, proc.stderr)
+            if cmd == "partition":
+                err = proc.stderr.strip().splitlines()
+                assert len(err) == 1 and err[0].startswith("infeasible: "), err
+
+    def test_dp_skips_more_devices_than_samples(self):
+        # two stages, batch 4: each device needs at least one sample, so at
+        # most 2 x 4 devices can hold a share
+        bs = blockset_for(stage_chain([1.0, 1.0, 1.0]))
+        fits = form_stage_dp(bs, 2, 8, 4, 1, 1)
+        assert fits.plan == brute_force_partition(bs, 2, 8, 4, 1, 1).plan
+        assert fits.plan is not None
+        over = form_stage_dp(bs, 2, 9, 4, 1, 1)
+        assert over.plan is None
+        assert (over.stats.dp_calls, over.stats.visits) == (1, 0)
+
+
+class TestFuzzFindings:
+    """Inputs the fuzz in test_fuzz.py turned up: each used to raise."""
+
+    def run(self, tmp_path, capsys, graph_doc=None, cluster_text=None, table=None):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps(graph_doc or chain_doc()))
+        cluster = write_cluster(tmp_path / "c.json")
+        if cluster_text is not None:
+            (tmp_path / "c.json").write_text(cluster_text)
+        argv = ["partition", "--graph", str(graph), "--cluster", cluster,
+                "--out", str(tmp_path / "out")]
+        if table is not None:
+            (tmp_path / "t.json").write_text(json.dumps(table))
+            argv += ["--cost-table", str(tmp_path / "t.json")]
+        assert main(argv) == 1
+        return one_error_line(capsys)
+
+    def test_integer_past_the_float_range(self, tmp_path, capsys):
+        text = json.dumps({"num_nodes": 1, "devices_per_node": 2,
+                           "device_memory_bytes": 10**400, "bw_intra": 5e10,
+                           "bw_inter": 1e10})
+        assert "finite" in self.run(tmp_path, capsys, cluster_text=text)
+
+    def test_integer_too_long_to_read(self, tmp_path, capsys):
+        text = '{"num_nodes": ' + "9" * 5000 + "}"
+        assert "c.json" in self.run(tmp_path, capsys, cluster_text=text)
+
+    def test_inputs_not_an_array_of_ids(self, tmp_path, capsys):
+        doc = chain_doc()
+        doc["inputs"] = 7
+        assert "inputs" in self.run(tmp_path, capsys, graph_doc=doc)
+
+    def test_output_fed_only_by_constants(self, tmp_path, capsys):
+        # a dangling output used to print a warning and then raise
+        doc = chain_doc()
+        doc["nodes"].append({"id": "c", "kind": "value", "value": {"fixed_bytes": 4}})
+        doc["outputs"].append("c")
+        assert "'c'" in self.run(tmp_path, capsys, graph_doc=doc)
+
+    def test_several_violations_share_one_line(self, tmp_path, capsys):
+        doc = chain_doc()
+        doc["nodes"].append({"id": "w", "kind": "value",
+                             "value": {"is_param": True, "bytes_per_sample": 4}})
+        doc["edges"] += [["w", "t"], ["y", "t"]]
+        line = self.run(tmp_path, capsys, graph_doc=doc)
+        assert "param-batch-scaling" in line and "cycle" in line
+
+    def test_task_times_summing_past_the_float_range(self, tmp_path, capsys):
+        doc = chain_doc()
+        doc["nodes"] += [{"id": "t2", "kind": "task", "task": {"op": "mm"}},
+                         {"id": "z", "kind": "value", "value": {"bytes_per_sample": 4}}]
+        doc["edges"] += [["y", "t2"], ["t2", "z"]]
+        doc["outputs"] = ["z"]
+        table = {f"mm||mb={m}": {"microbatch": m, "t_fwd": 1e308} for m in (1, 2, 4, 8)}
+        assert "out of range" in self.run(tmp_path, capsys, graph_doc=doc, table=table)
