@@ -522,6 +522,7 @@ class BlockSet:
 
         self._input_rows: dict[int, tuple[list[int], list[int]]] = {}
         self._terms: dict[int, _SpanTerms] = {}  # by microbatch size
+        self._profiles: dict[tuple[int, int, int, bool], CostRecord] = {}
         self._params = [0] * (n + 1)
         # per block: (fixed, per sample) of the non-parameter values it holds
         # without a producer and does not read as an input, such as constants
@@ -593,7 +594,12 @@ class BlockSet:
 
     def profile(self, lo: int, hi: int, microbatch: int, ckpt: bool) -> CostRecord:
         """Profile of blocks [lo, hi): `CostModel.profile` of `span(lo, hi)`,
-        composed from per-block terms built once per microbatch size."""
+        composed from per-block terms built once per microbatch size and
+        kept per (lo, hi, microbatch, ckpt) key."""
+        key = (lo, hi, microbatch, ckpt)
+        rec = self._profiles.get(key)
+        if rec is not None:
+            return rec
         self._check_span(lo, hi)
         terms = self._terms.get(microbatch)
         if terms is None:
@@ -604,11 +610,12 @@ class BlockSet:
             acts += terms.peak_row(lo)[hi]
         else:
             acts += terms.resident[hi] - terms.resident[lo]
-        return CostRecord(
+        rec = self._profiles[key] = CostRecord(
             t_fwd_sec=(terms.t_fwd[hi] - terms.t_fwd[lo]) / terms.fwd_denom,
             t_bwd_sec=(terms.t_bwd[hi] - terms.t_bwd[lo]) / terms.bwd_denom,
             mem_bytes=self.model.training_bytes(
                 self._params[hi] - self._params[lo], acts))
+        return rec
 
     def cut_time(self, cut: int, microbatch: int, cum_devices: int) -> float:
         """Transfer time of the boundary at `cut` for one microbatch slice.

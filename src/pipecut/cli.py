@@ -246,6 +246,9 @@ def cmd_partition(args) -> int:
 def cmd_simulate(args) -> int:
     _require(args, "graph", "cluster", "plan")
     plan = Plan.from_json(read_json(args.plan))
+    if plan.batch_size != args.batch_size:
+        raise ParseError(f"plan batch_size {plan.batch_size} does not match "
+                         f"--batch-size {args.batch_size}")
     _, blocks = _load_blocks(args)
     sched = simulate(plan, blocks)
     print(f"iteration_time_sec: {sched.iteration_time_sec:.9g}")

@@ -24,7 +24,7 @@ from .atoms import Subcomponent
 from .graph import ClusterSpec, ParseError, TaskGraph, TaskInfo, parse_amount, read_json
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostRecord:
     t_fwd_sec: float
     t_bwd_sec: float

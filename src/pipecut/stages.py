@@ -7,6 +7,13 @@ a dynamic program over (stages so far, blocks covered, devices spent). A
 doubling search on top picks the replica factor, stage count, and microbatch
 count, ranking complete plans by replayed iteration time.
 
+The stage count is a dimension of the table, as in Alpa's inter-operator DP
+(arXiv 2201.12023) and PipeDream's partitioner: one pass (`_run_pass`)
+answers every S in [S_lo, S_hi] from cell (nb, D) of row S, where row s
+covers b <= nb - g blocks and d <= D - g devices, g = max(S_lo - s, 0).
+`form_stage_dp` runs a range of one S: the plain S-stage DP, which the
+brute-force enumerator cross-checks.
+
 `stage_cost` is the one rule that charges a stage: its span's profile,
 composed from per-block terms (`BlockSet.profile`), at the per-device
 microbatch share, plus the forward send across its upper cut and the
@@ -129,8 +136,10 @@ class Plan:
 
 @dataclass
 class SearchStats:
-    visits: int = 0    # candidate (prefix, device-split) pairs the DP scanned
-    dp_calls: int = 0
+    # candidate (predecessor cut, device split) pairs of every cell the DP
+    # passes scanned: (b-s+1)(d-s+1) for cell (s, b, d)
+    visits: int = 0
+    dp_calls: int = 0  # DP passes, each over a range of stage counts
 
 
 @dataclass(frozen=True)
@@ -229,16 +238,26 @@ def _pareto(cands: list[_Entry]) -> list[_Entry]:
     return out
 
 
-def _run_dp(blocks: BlockSet, S: int, D: int, batch_size: int, R: int, MB: int,
-            opts: SearchOptions, stats: SearchStats) -> Plan | None:
+def _fewest_stages(D: int, batch_size: int, MB: int, R: int) -> int:
+    """Fewest stages that can hold D devices: every stage's devices need a
+    positive share of a microbatch, so S stages hold at most S x share(1)."""
+    share = _share(batch_size, MB, R, 1)
+    return -(-D // share) if share else D + 1
+
+
+def _run_pass(blocks: BlockSet, S_lo: int, S_hi: int, D: int, batch_size: int,
+              R: int, MB: int, opts: SearchOptions,
+              stats: SearchStats) -> dict[int, Plan]:
+    """Optimal S-stage assignment onto D devices, by S, for each S in
+    [S_lo, S_hi] that has one; the S must share one `_ckpt` mode."""
     nb = len(blocks)
     fits = blocks.model.fits
-    ckpt = _ckpt(blocks, S)
+    ckpt = _ckpt(blocks, S_hi)
     stats.dp_calls += 1
-    if D > S * _share(batch_size, MB, R, 1):
-        # every stage's devices need a positive share and the last cell
-        # needs all D of them, so no cell at (nb, D) can fill
-        return None
+    # the last cell of row S needs all D devices, each with a positive share
+    S_lo = max(S_lo, _fewest_stages(D, batch_size, MB, R))
+    if S_lo > S_hi:
+        return {}
 
     # Each cell keeps every non-dominated (running max tf, running max tb)
     # pair instead of a single value: a prefix with the larger forward
@@ -247,16 +266,20 @@ def _run_dp(blocks: BlockSet, S: int, D: int, batch_size: int, R: int, MB: int,
     prev: dict[tuple[int, int], list[_Entry]] = {(0, 0): [(0.0, 0.0, -1, -1, -1)]}
     levels: list[dict[tuple[int, int], list[_Entry]]] = [prev]
     d_min = 1
-    for s in range(1, S + 1):
+    for s in range(1, S_hi + 1):
         if s > 1:
             # the carried floor only speaks about single-stage prefixes;
             # a finer multi-stage split of the same prefix can fit where
             # the one-stage form did not, so later rows start fresh
             d_min = 1
+        # a cell on any S-stage path, S >= S_lo, leaves a block and a device
+        # to each later stage, so it lies inside; its predecessors are the
+        # ones a pass for S alone scans
+        g = max(S_lo - s, 0)
         cur: dict[tuple[int, int], list[_Entry]] = {}
         prev_cells = sorted(prev.items())
-        for b in range(s, nb - S + s + 1):
-            for d in range(D - (S - s), max(d_min, s) - 1, -1):
+        for b in range(s, nb - g + 1):
+            for d in range(D - g, max(d_min, s) - 1, -1):
                 stats.visits += (b - s + 1) * (d - s + 1)
                 if opts.visit_budget is not None and stats.visits > opts.visit_budget:
                     raise SearchBudgetExceeded(stats.visits, opts.visit_budget)
@@ -291,23 +314,26 @@ def _run_dp(blocks: BlockSet, S: int, D: int, batch_size: int, R: int, MB: int,
         levels.append(cur)
         prev = cur
 
-    final = levels[S].get((nb, D))
-    if final is None:
-        return None
-    best = final[0]
-    for entry in final[1:]:
-        if entry[0] + entry[1] < best[0] + best[1]:
-            best = entry
-    spans = []
-    s, b, d, entry = S, nb, D, best
-    while s > 0:
-        bp, dp, pidx = entry[2], entry[3], entry[4]
-        spans.append((bp, b, d - dp))
-        if s > 1:
-            entry = levels[s - 1][(bp, dp)][pidx]
-        s, b, d = s - 1, bp, dp
-    spans.reverse()
-    return _assemble(blocks, spans, batch_size, MB, R, best[0] + best[1])
+    plans: dict[int, Plan] = {}
+    for S in range(S_lo, S_hi + 1):
+        final = levels[S].get((nb, D))
+        if final is None:
+            continue
+        best = final[0]
+        for entry in final[1:]:
+            if entry[0] + entry[1] < best[0] + best[1]:
+                best = entry
+        spans = []
+        s, b, d, entry = S, nb, D, best
+        while s > 0:
+            bp, dp, pidx = entry[2], entry[3], entry[4]
+            spans.append((bp, b, d - dp))
+            if s > 1:
+                entry = levels[s - 1][(bp, dp)][pidx]
+            s, b, d = s - 1, bp, dp
+        spans.reverse()
+        plans[S] = _assemble(blocks, spans, batch_size, MB, R, best[0] + best[1])
+    return plans
 
 
 def form_stage_dp(blocks: BlockSet, S: int, D: int, batch_size: int,
@@ -316,9 +342,9 @@ def form_stage_dp(blocks: BlockSet, S: int, D: int, batch_size: int,
     """Optimal S-stage assignment of the block list onto D devices."""
     _check_args(blocks, S, D, batch_size, replica_factor, microbatches)
     stats = SearchStats()
-    plan = _run_dp(blocks, S, D, batch_size, replica_factor, microbatches,
-                   options or SearchOptions(), stats)
-    return SearchResult(plan, stats)
+    plans = _run_pass(blocks, S, S, D, batch_size, replica_factor, microbatches,
+                      options or SearchOptions(), stats)
+    return SearchResult(plans.get(S), stats)
 
 
 def _compositions(total: int, parts: int):
@@ -375,10 +401,12 @@ def form_stage(num_nodes: int, devices_per_node: int, batch_size: int,
     """Search replica factor, stage count, and microbatch count together.
 
     Pipelines widen by node-count doubling: n nodes per pipeline leaves
-    num_nodes/n data-parallel replicas. The first widening level with any
+    num_nodes/n data-parallel replicas. Each level runs one DP pass per
+    microbatch count over its stage counts; with checkpointing on, a single
+    stage, which drops it, gets a pass of its own. The first level with any
     feasible assignment wins; within it, candidates are checked with
     `validate_plan` and ranked by replayed iteration time, then objective,
-    then fewer microbatches.
+    then fewer microbatches, then (stage count, microbatch count) order.
     """
     if num_nodes < 1 or devices_per_node < 1 or batch_size < 1:
         raise InvalidArgs("node count, devices per node and batch size must be "
@@ -391,22 +419,30 @@ def form_stage(num_nodes: int, devices_per_node: int, batch_size: int,
         if num_nodes % n == 0:
             D = devices_per_node * n
             R = num_nodes // n
-            candidates: list[Plan] = []
-            for S in range(devices_per_node * (n - 1) + 1, min(D, nb) + 1):
-                MB = 1
-                while MB * R <= batch_size:
-                    plan = _run_dp(blocks, S, D, batch_size, R, MB, opts, stats)
-                    if plan is not None:
-                        candidates.append(plan)
-                    MB *= 2
-            if candidates:
+            S_last = min(D, nb)
+            found: list[tuple[int, int, Plan]] = []
+            MB = 1
+            while MB * R <= batch_size:
+                S_first = max(devices_per_node * (n - 1) + 1,
+                              _fewest_stages(D, batch_size, MB, R))
+                ranges = [(S_first, S_last)]
+                if blocks.model.config.checkpointing and S_first == 1:
+                    ranges = [(1, 1), (2, S_last)]
+                for lo, hi in ranges:
+                    if lo <= hi:
+                        for S, plan in _run_pass(blocks, lo, hi, D, batch_size,
+                                                 R, MB, opts, stats).items():
+                            found.append((S, MB, plan))
+                MB *= 2
+            if found:
                 def rank(p: Plan):
                     violations = validate_plan(p, blocks)
                     if violations:
                         raise InvalidPlan(violations)
                     return (replay(p, blocks)[0], p.objective, p.microbatches)
 
-                return SearchResult(min(candidates, key=rank), stats)
+                found.sort(key=lambda c: c[:2])
+                return SearchResult(min((p for _, _, p in found), key=rank), stats)
         n *= 2
     return SearchResult(None, stats)
 

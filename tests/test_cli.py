@@ -1,5 +1,7 @@
 import json
 import pathlib
+import re
+import time
 
 import pytest
 
@@ -161,6 +163,39 @@ class TestSimulate:
         assert main(["simulate", "--plan", str(plan_file), "--graph", graph,
                      "--cluster", cluster, "--out", out]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestSimulateBatchSize:
+    def test_plan_batch_must_match_flag(self, small_setup, capsys):
+        graph, cluster, out = small_setup
+        assert main(["partition", "--graph", graph, "--cluster", cluster,
+                     "--batch-size", "32", "--out", out]) == 0
+        report = (pathlib.Path(out) / "report.txt").read_text()
+        want = next(line.split()[-1] for line in report.splitlines()
+                    if line.startswith("simulated_iteration_sec:"))
+        plan_file = pathlib.Path(out) / "plan.json"
+        sim = ["simulate", "--graph", graph, "--cluster", cluster,
+               "--out", out, "--batch-size", "32"]
+        capsys.readouterr()
+        assert main(sim + ["--plan", str(plan_file)]) == 0
+        assert f"iteration_time_sec: {want}\n" in capsys.readouterr().out
+
+        # scaling batch and microbatches keeps a plan valid; its replay
+        # would grow with the scale, so the mismatch is caught first
+        doc = json.loads(plan_file.read_text())
+        doc["batch_size"] *= 1000
+        doc["microbatches"] *= 1000
+        scaled = pathlib.Path(out) / "scaled.json"
+        scaled.write_text(json.dumps(doc))
+        t0 = time.monotonic()
+        assert main(sim + ["--plan", str(scaled)]) == 1
+        assert time.monotonic() - t0 < 1.0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and {"32000", "32"} <= set(re.findall(r"\d+", err[0])), err
+
+        assert main(sim[:-1] + ["64", "--plan", str(plan_file)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and {"32", "64"} <= set(re.findall(r"\d+", err[0])), err
 
 
 class TestSweep:
