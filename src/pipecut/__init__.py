@@ -36,7 +36,6 @@ from .simulate import (
     Schedule,
     render_gantt,
     simulate,
-    throughput,
 )
 from .stages import (
     InvalidArgs,
@@ -96,7 +95,6 @@ __all__ = [
     "render_gantt",
     "save_graph",
     "simulate",
-    "throughput",
     "validate_graph",
     "validate_plan",
 ]

@@ -9,7 +9,7 @@ self-contained given only its non-constant inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Node, TaskGraph
 
@@ -31,16 +31,14 @@ class Subcomponent:
     input_values: tuple[str, ...]
     output_values: tuple[str, ...]
 
-    def __len__(self) -> int:
-        return len(self.node_ids)
-
 
 def mark_constant_tasks(g: TaskGraph) -> dict[str, bool]:
     """Map each task id to True when its result never depends on an input.
 
     A task is non-constant iff it consumes a model-input value or an output
     of a non-constant task; everything else (parameter transforms, frozen
-    preprocessing) is constant and can be replicated freely.
+    preprocessing) is constant and can be replicated freely. Keys come in
+    `g.topo_order()` order.
     """
     constant: dict[str, bool] = {}
     for nid in g.topo_order():
@@ -86,7 +84,7 @@ class AtomicPartition:
 
     graph: TaskGraph
     atoms: tuple[Subcomponent, ...]
-    clone_origins: dict[str, str] = field(default_factory=dict)
+    clone_origins: dict[str, str]
 
     def __post_init__(self) -> None:
         self._task_atom: dict[str, int] = {}
@@ -139,20 +137,6 @@ class AtomicPartition:
         return Subcomponent(sub_id, frozenset(node_ids), tuple(sorted(inputs)),
                             tuple(sorted(outputs)))
 
-    def to_json(self) -> dict:
-        return {
-            "atoms": [
-                {
-                    "id": a.id,
-                    "nodes": sorted(a.node_ids),
-                    "inputs": list(a.input_values),
-                    "outputs": list(a.output_values),
-                }
-                for a in self.atoms
-            ],
-            "clones": dict(sorted(self.clone_origins.items())),
-        }
-
 
 def build_atomic_subcomponents(g: TaskGraph) -> AtomicPartition:
     """Split the graph into atoms with exactly one non-constant task each.
@@ -164,10 +148,7 @@ def build_atomic_subcomponents(g: TaskGraph) -> AtomicPartition:
     cannot be covered.
     """
     constant = mark_constant_tasks(g)
-    topo = g.topo_order()
-    topo_pos = {nid: i for i, nid in enumerate(topo)}
-
-    anchors = [nid for nid in topo if g.nodes[nid].is_task and not constant[nid]]
+    anchors = [tid for tid, is_const in constant.items() if not is_const]
     if not anchors:
         raise NoNonConstantTask("no task depends on a model input")
 
@@ -212,7 +193,7 @@ def build_atomic_subcomponents(g: TaskGraph) -> AtomicPartition:
     else:
         expanded = g
 
-    return _assemble(expanded, g, anchors, closures, local_id, clone_origins, topo_pos)
+    return _assemble(expanded, g, anchors, closures, local_id, clone_origins)
 
 
 def _rebuild_with_clones(g, owners, anchors, closures, local_id) -> TaskGraph:
@@ -220,12 +201,8 @@ def _rebuild_with_clones(g, owners, anchors, closures, local_id) -> TaskGraph:
     for nid, node in g.nodes.items():
         if nid not in owners:
             nodes.append(node)
-    emitted: set[str] = set()
     for idx in range(len(anchors)):
         for orig, new_id in sorted(local_id[idx].items()):
-            if new_id in emitted:
-                continue
-            emitted.add(new_id)
             old = g.nodes[orig]
             nodes.append(Node(new_id, task=old.task, value=old.value))
 
@@ -249,7 +226,7 @@ def _rebuild_with_clones(g, owners, anchors, closures, local_id) -> TaskGraph:
     return TaskGraph(nodes, sorted(edges), g.inputs, g.outputs)
 
 
-def _assemble(graph, orig, anchors, closures, local_id, clone_origins, topo_pos):
+def _assemble(graph, orig, anchors, closures, local_id, clone_origins):
     n = len(anchors)
     members: list[set[str]] = [set() for _ in range(n)]
     task_atom: dict[str, int] = {}
@@ -260,14 +237,11 @@ def _assemble(graph, orig, anchors, closures, local_id, clone_origins, topo_pos)
         for nid in closures[idx]:
             members[idx].add(local_id[idx][nid])
 
-    # model inputs go to their first consumer in topo order; dead ones to atom 0
+    # model inputs go to their first consumer in topo order, which is the
+    # first atom since every consumer is an anchor; dead ones to atom 0
     for vid in sorted(orig.inputs):
-        consumers = graph.consumers(vid)
-        if consumers:
-            first = min(consumers, key=lambda t: (topo_pos[t], t))
-            members[task_atom[first]].add(vid)
-        else:
-            members[0].add(vid)
+        first = min((task_atom[t] for t in graph.consumers(vid)), default=0)
+        members[first].add(vid)
 
     value_owner: dict[str, int] = {}
     for idx in range(n):

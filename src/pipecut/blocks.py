@@ -34,7 +34,7 @@ from __future__ import annotations
 import graphlib
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .atoms import AtomicPartition, Subcomponent
@@ -487,14 +487,12 @@ class BlockSet:
     block_atoms: tuple[tuple[int, ...], ...]
     blocks: tuple[Subcomponent, ...]
     costs: tuple[CostRecord, ...]  # microbatch 1, checkpointing on
-    _cut_fixed: list[int] = field(default_factory=list, repr=False)
-    _cut_per_sample: list[float] = field(default_factory=list, repr=False)
-    _span_cache: dict[tuple[int, int], Subcomponent] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.blocks)
         self._cut_fixed = [0] * (n + 1)
-        self._cut_per_sample = [0.0] * (n + 1)
+        self._cut_per_sample = [0] * (n + 1)
+        self._span_cache: dict[tuple[int, int], Subcomponent] = {}
         # per lo: (first reader block at or after lo, fixed, per sample) of
         # each value that a span starting at lo reads as an input
         self._input_reads: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
@@ -554,7 +552,7 @@ class BlockSet:
         microbatch, each value counted once however many readers it has."""
         if not 0 <= cut <= len(self.blocks):
             raise ValueError(f"cut {cut} out of range")
-        return int(self._cut_fixed[cut] + microbatch * self._cut_per_sample[cut])
+        return self._cut_fixed[cut] + microbatch * self._cut_per_sample[cut]
 
     def span(self, lo: int, hi: int) -> Subcomponent:
         """Union of blocks [lo, hi) as one subcomponent."""

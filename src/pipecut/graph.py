@@ -91,7 +91,7 @@ class TaskGraph:
             if n.id in self.nodes:
                 raise ValueError(f"duplicate node id {n.id!r}")
             self.nodes[n.id] = n
-        edge_list = [(str(a), str(b)) for a, b in edges]
+        edge_list = [(src, dst) for src, dst in edges]
         seen: set[tuple[str, str]] = set()
         for src, dst in edge_list:
             if src not in self.nodes or dst not in self.nodes:
@@ -272,17 +272,15 @@ def graph_from_json(doc: Mapping[str, Any]) -> TaskGraph:
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
         raise ParseError("graph: nodes and edges must be arrays")
     nodes = [_node_from_json(n) for n in raw_nodes]
-    edges = []
     for e in raw_edges:
-        if not (isinstance(e, list) and len(e) == 2):
-            raise ParseError(f"graph: edge {e!r} must be a [src, dst] pair")
-        edges.append((e[0], e[1]))
+        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(i, str) for i in e)):
+            raise ParseError(f"graph: edge {e!r} must be a [src, dst] pair of node ids")
     ends = {key: doc.get(key, []) for key in ("inputs", "outputs")}
     for key, ids in ends.items():
         if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
             raise ParseError(f"graph: {key} must be an array of value ids")
     try:
-        g = TaskGraph(nodes, edges, ends["inputs"], ends["outputs"])
+        g = TaskGraph(nodes, raw_edges, ends["inputs"], ends["outputs"])
     except ValidationError:
         raise
     except ValueError as exc:
@@ -392,14 +390,14 @@ def validate_graph(g: TaskGraph) -> list[Violation]:
     return out
 
 
-def count_params(g: TaskGraph, bytes_per_element: int = 4) -> int:
-    """Total parameter element count, assuming a uniform element width."""
+def count_params(g: TaskGraph) -> int:
+    """Total parameter element count, assuming 4-byte elements."""
     total = 0
     for vid in g.value_ids():
         info = g.nodes[vid].value
         assert info is not None
         if info.is_param:
-            total += info.fixed_bytes // bytes_per_element
+            total += info.fixed_bytes // 4
     return total
 
 

@@ -33,27 +33,6 @@ class Schedule:
     n_devices: int
     samples_per_sec: float
 
-    def to_json(self) -> dict:
-        return {
-            "iteration_time_sec": self.iteration_time_sec,
-            "bubble_fraction": self.bubble_fraction,
-            "n_devices": self.n_devices,
-            "samples_per_sec": self.samples_per_sec,
-            "events": [
-                {"device": e.device, "stage": e.stage,
-                 "microbatch": e.microbatch, "phase": e.phase,
-                 "start_sec": e.start_sec, "end_sec": e.end_sec}
-                for e in self.events
-            ],
-        }
-
-
-def throughput(schedule: Schedule, batch_size: int) -> float:
-    """Samples finished per second when training with the given batch."""
-    if schedule.iteration_time_sec <= 0:
-        return 0.0
-    return batch_size / schedule.iteration_time_sec
-
 
 def simulate(plan: Plan, blocks: BlockSet) -> Schedule:
     violations = validate_plan(plan, blocks)
@@ -86,7 +65,7 @@ _SVG_COLORS = {"fwd": "#4c86c6", "recompute": "#9bb8d9", "bwd": "#c2643f",
                "comm": "#999999", "allreduce": "#8559a5"}
 
 
-def render_gantt(schedule: Schedule, mode: str = "text", width: int = 80) -> str:
+def render_gantt(schedule: Schedule, mode: str = "text") -> str:
     """Device-lane timeline of a schedule, one row per device."""
     if mode not in ("text", "svg"):
         raise ValueError(f"unknown gantt mode {mode!r}")
@@ -98,6 +77,7 @@ def render_gantt(schedule: Schedule, mode: str = "text", width: int = 80) -> str
     total = schedule.iteration_time_sec or 1.0
 
     if mode == "text":
+        width = 80
         lines = [f"iteration {schedule.iteration_time_sec:.6g}s  "
                  f"bubble {schedule.bubble_fraction:.1%}"]
         for dev in range(schedule.n_devices):
