@@ -5,6 +5,11 @@ from the model inputs. Each non-constant task then anchors one atomic
 subcomponent; constant tasks and values are private support for the atoms
 that consume them, cloned per atom when shared, so every atom can run
 self-contained given only its non-constant inputs.
+
+Atoms and their unions share one boundary rule (`AtomicPartition.merged`):
+a group's inputs are the values its tasks read that are model inputs or
+owned outside the group, and its outputs are the values it owns that are
+model outputs or read outside it.
 """
 
 from __future__ import annotations
@@ -120,22 +125,21 @@ class AtomicPartition:
         return sorted(deps)
 
     def merged(self, atom_indices, sub_id: str) -> Subcomponent:
-        """Materialize the union of atoms as one subcomponent."""
-        group = frozenset(atom_indices)
-        node_ids: set[str] = set()
-        inputs: set[str] = set()
-        outputs: set[str] = set()
-        for idx in group:
-            atom = self.atoms[idx]
-            node_ids.update(atom.node_ids)
-            for vid in atom.input_values:
-                if vid in self.graph.inputs or self._value_owner.get(vid) not in group:
-                    inputs.add(vid)
-            for vid in atom.output_values:
-                if vid in self.graph.outputs or (self._consumer_atoms[vid] - group):
-                    outputs.add(vid)
-        return Subcomponent(sub_id, frozenset(node_ids), tuple(sorted(inputs)),
-                            tuple(sorted(outputs)))
+        """Materialize the union of atoms as one subcomponent.
+
+        This is the one boundary rule. Inputs are the values the group's
+        tasks read that are model inputs or owned outside the group; outputs
+        are the values the group owns that are model outputs or read outside
+        it. Only the atoms' node sets are read.
+        """
+        graph, group = self.graph, frozenset(atom_indices)
+        owner, task_atom = self._value_owner, self._task_atom
+        node_ids = frozenset().union(*(self.atoms[idx].node_ids for idx in group))
+        inputs = {vid for nid in node_ids if nid in task_atom for vid in graph.pred(nid)
+                  if vid in graph.inputs or owner.get(vid) not in group}
+        outputs = {vid for vid in node_ids if vid in owner
+                   and (vid in graph.outputs or not self._consumer_atoms[vid] <= group)}
+        return Subcomponent(sub_id, node_ids, tuple(sorted(inputs)), tuple(sorted(outputs)))
 
 
 def build_atomic_subcomponents(g: TaskGraph) -> AtomicPartition:
@@ -189,84 +193,40 @@ def build_atomic_subcomponents(g: TaskGraph) -> AtomicPartition:
                 clone_origins[clone] = nid
 
     if clone_origins:
-        expanded = _rebuild_with_clones(g, owners, anchors, closures, local_id)
+        expanded = _rebuild_with_clones(g, owners, anchors, local_id)
     else:
         expanded = g
 
-    return _assemble(expanded, g, anchors, closures, local_id, clone_origins)
+    return _assemble(expanded, anchors, local_id, clone_origins)
 
 
-def _rebuild_with_clones(g, owners, anchors, closures, local_id) -> TaskGraph:
-    nodes: list[Node] = []
-    for nid, node in g.nodes.items():
-        if nid not in owners:
-            nodes.append(node)
-    for idx in range(len(anchors)):
-        for orig, new_id in sorted(local_id[idx].items()):
-            old = g.nodes[orig]
-            nodes.append(Node(new_id, task=old.task, value=old.value))
-
-    edges: set[tuple[str, str]] = set()
-    for src, dst in g.edges:
-        if src not in owners and dst not in owners:
-            edges.add((src, dst))
+def _rebuild_with_clones(g, owners, anchors, local_id) -> TaskGraph:
+    nodes = [node for nid, node in g.nodes.items() if nid not in owners]
+    edges = {(src, dst) for src, dst in g.edges if src not in owners and dst not in owners}
     for idx, anchor in enumerate(anchors):
         ids = local_id[idx]
-        for nid in closures[idx]:
-            node = g.nodes[nid]
-            if node.is_task:
-                for vid in g.pred(nid):
-                    edges.add((ids[vid], ids[nid]))
-                for vid in g.succ(nid):
-                    if vid in closures[idx]:
-                        edges.add((ids[nid], ids[vid]))
-            else:
-                if anchor in g.succ(nid):
-                    edges.add((ids[nid], anchor))
+        for orig, new_id in ids.items():
+            old = g.nodes[orig]
+            nodes.append(Node(new_id, task=old.task, value=old.value))
+            # a copy keeps the out-edges that stay in its atom's support or reach its anchor
+            edges.update((new_id, ids.get(dst, dst)) for dst in g.succ(orig)
+                         if dst in ids or dst == anchor)
     return TaskGraph(nodes, sorted(edges), g.inputs, g.outputs)
 
 
-def _assemble(graph, orig, anchors, closures, local_id, clone_origins):
-    n = len(anchors)
-    members: list[set[str]] = [set() for _ in range(n)]
-    task_atom: dict[str, int] = {}
-    for idx, anchor in enumerate(anchors):
-        members[idx].add(anchor)
-        task_atom[anchor] = idx
-        members[idx].update(graph.succ(anchor))
-        for nid in closures[idx]:
-            members[idx].add(local_id[idx][nid])
-
+def _assemble(graph, anchors, local_id, clone_origins) -> AtomicPartition:
+    """Collect each atom's members: its anchor, the anchor's outputs and the
+    atom's copy of its support."""
+    members = [{anchor, *graph.succ(anchor), *local_id[idx].values()}
+               for idx, anchor in enumerate(anchors)]
     # model inputs go to their first consumer in topo order, which is the
     # first atom since every consumer is an anchor; dead ones to atom 0
-    for vid in sorted(orig.inputs):
-        first = min((task_atom[t] for t in graph.consumers(vid)), default=0)
-        members[first].add(vid)
-
-    value_owner: dict[str, int] = {}
-    for idx in range(n):
-        for nid in members[idx]:
-            if graph.nodes[nid].is_value:
-                value_owner[nid] = idx
-
-    atoms = []
-    width = max(5, len(str(n)))
-    for idx, anchor in enumerate(anchors):
-        inputs = set()
-        for vid in graph.pred(anchor):
-            if vid in graph.inputs or value_owner.get(vid) != idx:
-                inputs.add(vid)
-        outputs = set()
-        for vid in members[idx]:
-            if not graph.nodes[vid].is_value:
-                continue
-            if vid in graph.outputs:
-                outputs.add(vid)
-                continue
-            for consumer in graph.consumers(vid):
-                if task_atom.get(consumer, idx) != idx:
-                    outputs.add(vid)
-                    break
-        atoms.append(Subcomponent(f"A{idx:0{width}d}", frozenset(members[idx]),
-                                  tuple(sorted(inputs)), tuple(sorted(outputs))))
-    return AtomicPartition(graph=graph, atoms=tuple(atoms), clone_origins=clone_origins)
+    anchor_atom = {anchor: idx for idx, anchor in enumerate(anchors)}
+    for vid in graph.inputs:
+        members[min((anchor_atom[t] for t in graph.consumers(vid)), default=0)].add(vid)
+    width = max(5, len(str(len(anchors))))
+    p = AtomicPartition(graph, tuple(Subcomponent(f"A{idx:0{width}d}", frozenset(m), (), ())
+                                     for idx, m in enumerate(members)), clone_origins)
+    # the owner tables read only node sets, so they hold for the final atoms
+    p.atoms = tuple(p.merged([idx], atom.id) for idx, atom in enumerate(p.atoms))
+    return p

@@ -239,11 +239,13 @@ def _node_from_json(raw: Mapping[str, Any]) -> Node:
             raise ParseError(f"task node {nid!r} carries a value payload")
         payload = raw.get("task", {})
         _check_keys(payload, {"op", "flops_per_sample", "attrs"}, {"op"}, f"node {nid!r} task")
-        attrs = payload.get("attrs", {})
+        op, attrs = payload["op"], payload.get("attrs", {})
+        if not isinstance(op, str) or not op:
+            raise ParseError(f"node {nid!r}: op must be a non-empty string, got {op!r}")
         if not isinstance(attrs, Mapping):
             raise ParseError(f"node {nid!r}: attrs must be an object")
         return Node(nid, task=TaskInfo(
-            op=str(payload["op"]),
+            op=op,
             flops_per_sample=parse_amount(payload.get("flops_per_sample", 0),
                                           f"node {nid!r}: flops_per_sample"),
             attrs=dict(attrs),
@@ -253,13 +255,16 @@ def _node_from_json(raw: Mapping[str, Any]) -> Node:
             raise ParseError(f"value node {nid!r} carries a task payload")
         payload = raw.get("value", {})
         _check_keys(payload, {"fixed_bytes", "bytes_per_sample", "is_param"}, set(), f"node {nid!r} value")
+        is_param = payload.get("is_param", False)
+        if not isinstance(is_param, bool):
+            raise ParseError(f"node {nid!r}: is_param must be true or false, got {is_param!r}")
         return Node(nid, value=ValueInfo(
             fixed_bytes=parse_amount(payload.get("fixed_bytes", 0),
                                      f"node {nid!r}: fixed_bytes", whole=True),
             bytes_per_sample=parse_amount(payload.get("bytes_per_sample", 0),
                                           f"node {nid!r}: bytes_per_sample",
                                           whole=True),
-            is_param=bool(payload.get("is_param", False)),
+            is_param=is_param,
         ))
     raise ParseError(f"node {nid!r}: kind must be 'task' or 'value', got {kind!r}")
 
@@ -371,6 +376,9 @@ def validate_graph(g: TaskGraph) -> list[Violation]:
         if len(preds) > 1:
             out.append(Violation("multi-producer-value", (vid, *preds),
                                  f"value has {len(preds)} producers"))
+        if preds and vid in g.inputs:
+            out.append(Violation("produced-input", (vid, *preds),
+                                 "a model input must not be produced by a task"))
         info = g.nodes[vid].value
         assert info is not None
         if info.is_param and info.bytes_per_sample != 0:

@@ -12,7 +12,7 @@ import pipecut
 from pipecut.cli import main
 from pipecut.costs import load_cost_table
 from pipecut.generators import gen_bert_like
-from pipecut.graph import ParseError, graph_from_json, graph_to_json, save_graph
+from pipecut.graph import ParseError, ValidationError, graph_from_json, graph_to_json, save_graph
 from pipecut.stages import Plan, brute_force_partition, form_stage_dp
 
 from test_cli import write_cluster
@@ -331,3 +331,62 @@ class TestFuzzFindings:
         doc["outputs"] = ["z"]
         table = {f"mm||mb={m}": {"microbatch": m, "t_fwd": 1e308} for m in (1, 2, 4, 8)}
         assert "out of range" in self.run(tmp_path, capsys, graph_doc=doc, table=table)
+
+
+def write_and_partition(tmp_path, doc) -> int:
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(doc))
+    return main(["partition", "--graph", str(graph), "--cluster",
+                 write_cluster(tmp_path / "c.json"), "--out", str(tmp_path / "out")])
+
+
+class TestProducedInput:
+    """A declared model input that a task also writes used to load, and its
+    value then landed in two atoms."""
+
+    def produced_input_doc(self):
+        doc = chain_doc()
+        doc["nodes"] += [{"id": "a", "kind": "value", "value": {"bytes_per_sample": 4}},
+                         {"id": "t0", "kind": "task", "task": {"op": "mm"}}]
+        doc["edges"] += [["a", "t0"], ["t0", "x"]]
+        doc["inputs"] = ["a", "x"]
+        return doc
+
+    def test_rejected_at_load(self):
+        with pytest.raises(ValidationError, match=r"produced-input \[x, t0\]"):
+            graph_from_json(self.produced_input_doc())
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        assert write_and_partition(tmp_path, self.produced_input_doc()) == 1
+        assert "produced-input" in one_error_line(capsys)
+
+
+def set_node_field(doc, nid, field, raw):
+    node = next(n for n in doc["nodes"] if n["id"] == nid)
+    node[node["kind"]][field] = raw
+    return doc
+
+
+class TestNodeFields:
+    """`is_param` must be a JSON boolean and `op` a non-empty string; they
+    used to be coerced, so "false" loaded as a parameter and 7 as op "7"."""
+
+    BAD = [("y", "is_param", "false"), ("y", "is_param", 0), ("y", "is_param", None),
+           ("t", "op", None), ("t", "op", 7), ("t", "op", ""), ("t", "op", ["mm"])]
+
+    @pytest.mark.parametrize("nid, field, raw", BAD)
+    def test_rejected_at_load(self, nid, field, raw):
+        with pytest.raises(ParseError, match=f"'{nid}': {field} must be"):
+            graph_from_json(set_node_field(chain_doc(), nid, field, raw))
+
+    @pytest.mark.parametrize("nid, field, raw", BAD)
+    def test_cli_exit_code(self, tmp_path, capsys, nid, field, raw):
+        doc = set_node_field(chain_doc(), nid, field, raw)
+        assert write_and_partition(tmp_path, doc) == 1
+        assert f"{field} must be" in one_error_line(capsys)
+
+    def test_well_typed_fields_load(self):
+        doc = set_node_field(chain_doc(), "y", "is_param", False)
+        g = graph_from_json(set_node_field(doc, "t", "op", "matmul"))
+        assert g.nodes["y"].value.is_param is False
+        assert g.nodes["t"].task.op == "matmul"
