@@ -4,7 +4,9 @@ Tasks are first classified constant or non-constant by forward reachability
 from the model inputs. Each non-constant task then anchors one atomic
 subcomponent; constant tasks and values are private support for the atoms
 that consume them, cloned per atom when shared, so every atom can run
-self-contained given only its non-constant inputs.
+self-contained given only its non-constant inputs. The clone-expanded
+graph is derived from the input graph (`TaskGraph.replaced`): only the
+shared support nodes and their edges change.
 
 Atoms and their unions share one boundary rule (`AtomicPartition.merged`):
 a group's inputs are the values its tasks read that are model inputs or
@@ -63,7 +65,8 @@ def mark_constant_tasks(g: TaskGraph) -> dict[str, bool]:
 
 
 def _constant_closure(g: TaskGraph, constant: dict[str, bool], task_id: str) -> set[str]:
-    """Constant tasks and values backward-reachable from one task's inputs."""
+    """Constant tasks and values backward-reachable from one task's inputs,
+    with each such task's outputs that nothing reads."""
     closure: set[str] = set()
     stack = list(g.pred(task_id))
     while stack:
@@ -79,6 +82,7 @@ def _constant_closure(g: TaskGraph, constant: dict[str, bool], task_id: str) -> 
         closure.add(vid)
         if producer not in closure:
             closure.add(producer)
+            closure.update(out for out in g.succ(producer) if not g.consumers(out))
             stack.extend(g.pred(producer))
     return closure
 
@@ -187,31 +191,30 @@ def build_atomic_subcomponents(g: TaskGraph) -> AtomicPartition:
         else:
             for rank, idx in enumerate(atom_list):
                 clone = f"{nid}::c{rank}"
-                if clone in g.nodes:
-                    raise ValueError(f"clone id {clone!r} collides with a node")
                 local_id[idx][nid] = clone
                 clone_origins[clone] = nid
 
-    if clone_origins:
-        expanded = _rebuild_with_clones(g, owners, anchors, local_id)
-    else:
-        expanded = g
-
+    expanded = _expand_clones(g, anchors, local_id, clone_origins) if clone_origins else g
     return _assemble(expanded, anchors, local_id, clone_origins)
 
 
-def _rebuild_with_clones(g, owners, anchors, local_id) -> TaskGraph:
-    nodes = [node for nid, node in g.nodes.items() if nid not in owners]
-    edges = {(src, dst) for src, dst in g.edges if src not in owners and dst not in owners}
+def _expand_clones(g, anchors, local_id, clone_origins) -> TaskGraph:
+    """The graph with each shared support node replaced by its copies. Every
+    reader of a support node that one atom owns is in that atom's support or
+    is its anchor, so such a node keeps its edges; a copy keeps the
+    out-edges that stay in its atom's support or reach its anchor."""
+    copies: list[Node] = []
+    edges: list[tuple[str, str]] = []
     for idx, anchor in enumerate(anchors):
         ids = local_id[idx]
         for orig, new_id in ids.items():
+            if new_id == orig:
+                continue
             old = g.nodes[orig]
-            nodes.append(Node(new_id, task=old.task, value=old.value))
-            # a copy keeps the out-edges that stay in its atom's support or reach its anchor
-            edges.update((new_id, ids.get(dst, dst)) for dst in g.succ(orig)
+            copies.append(Node(new_id, task=old.task, value=old.value))
+            edges.extend((new_id, ids.get(dst, dst)) for dst in g.succ(orig)
                          if dst in ids or dst == anchor)
-    return TaskGraph(nodes, sorted(edges), g.inputs, g.outputs)
+    return g.replaced(clone_origins.values(), copies, edges)
 
 
 def _assemble(graph, anchors, local_id, clone_origins) -> AtomicPartition:

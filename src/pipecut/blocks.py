@@ -25,8 +25,11 @@ constant time instead of walking the span's nodes, the way PipeDream's
 partitioner sums per-layer costs (Narayanan et al., SOSP'19). Times,
 parameter bytes and resident bytes are prefix sums; span input bytes come
 from a table over (lo, hi); the checkpointing footprint is a running max
-over hi. The terms are built once per microbatch size and the record is
-equal, bit for bit, to `CostModel.profile` on the merged span.
+over hi. The terms are built once per microbatch size over distinct task
+classes: a block's tasks with the same op signature, FLOPs and value sizes
+are costed once and counted, so a model of repeated layers costs a few
+dozen tasks per microbatch size, not every task. The record is equal, bit
+for bit, to `CostModel.profile` on the merged span.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .atoms import AtomicPartition, Subcomponent
-from .costs import CostModel, CostRecord
+from .costs import CostModel, CostRecord, op_signature
 from .graph import TaskInfo
 
 
@@ -125,15 +128,16 @@ class _Grouping:
         self._reaching: list[list[tuple[int, list[tuple[int, int]]]]] = []
         for a, atom in enumerate(partition.atoms):
             params = 0
-            shapes: list[_TaskShape] = []
+            shapes: list[tuple[_TaskShape, int]] = []  # one pair per task
             for nid in atom.node_ids:
                 node = g.nodes[nid]
                 if node.is_task:
-                    shapes.append(_task_shape(g, nid, a, owner_of))
+                    shapes.append((_task_shape(g, nid, a, owner_of), 1))
                 elif node.value.is_param:
                     params += node.value.fixed_bytes
             t_fwd, t_bwd, _, own_peak, reaching = _task_terms(model, shapes, 1)
-            self.atom_comp.append(math.fsum(t_fwd) + math.fsum(t_bwd))
+            self.atom_comp.append(math.fsum(t for t, _ in t_fwd)
+                                  + math.fsum(t for t, _ in t_bwd))
             self._params.append(params)
             self._inputs.append(tuple(
                 (value_index[vid], g.value_size(vid, 1),
@@ -395,25 +399,38 @@ def _task_shape(g, nid: str, home: int, owner_of) -> _TaskShape:
     return _TaskShape(g.nodes[nid].task, produced, tuple(local), tuple(foreign))
 
 
-def _task_terms(model: CostModel, shapes: list[_TaskShape], m: int):
-    """The terms a home's tasks add to `CostModel.profile` at microbatch m:
-    forward and backward seconds per task; the bytes they produce (a
-    cost-table `act_bytes` replaces a task's own); the largest checkpointing
-    working set (produced plus local reads) of the tasks that read nothing
-    another home owns; and (own working set, [(owner, bytes)]) of the
-    others, whose foreign reads join the working set only where their owner
-    shares the task's group or span."""
-    t_fwd: list[float] = []
-    t_bwd: list[float] = []
+def _task_classes(shapes: list[_TaskShape]) -> list[tuple[_TaskShape, int]]:
+    """(shape, count) per class of tasks that add the same terms at every
+    microbatch: same op signature, FLOPs and sizes. The signature, not
+    `TaskInfo` equality, decides, since `{"n": 1} == {"n": 1.0}` while their
+    signatures, and so their cost-table entries, differ."""
+    classes: dict[tuple, list] = {}
+    for shape in shapes:
+        key = (op_signature(shape.info, 0), shape.info.flops_per_sample, *shape[1:])
+        classes.setdefault(key, [shape, 0])[1] += 1
+    return [(shape, count) for shape, count in classes.values()]
+
+
+def _task_terms(model: CostModel, classes: list[tuple[_TaskShape, int]], m: int):
+    """The terms a home's tasks add to `CostModel.profile` at microbatch m,
+    from (shape, count) pairs: (forward, count) and (backward, count)
+    seconds per pair; the bytes they produce (a cost-table `act_bytes`
+    replaces a task's own); the largest checkpointing working set (produced
+    plus local reads) of the tasks that read nothing another home owns; and
+    (own working set, [(owner, bytes)]) of the others, whose foreign reads
+    join the working set only where their owner shares the task's group or
+    span. The last two are maxima, so a count does not enter them."""
+    t_fwd: list[tuple[float, int]] = []
+    t_bwd: list[tuple[float, int]] = []
     produced_total = own_peak = 0
     reaching: list[tuple[int, list[tuple[int, int]]]] = []
-    for shape in shapes:
+    for shape, count in classes:
         tf, tb, produced = model.task_cost(shape.info, m)
-        t_fwd.append(tf)
-        t_bwd.append(tb)
+        t_fwd.append((tf, count))
+        t_bwd.append((tb, count))
         if produced is None:
             produced = sum(f + m * s for f, s in shape.produced)
-        produced_total += produced
+        produced_total += count * produced
         own = produced + sum(f + m * s for f, s in shape.local_reads)
         if shape.foreign_reads:
             reaching.append((own, [(ob, f + m * s) for ob, f, s in shape.foreign_reads]))
@@ -422,15 +439,15 @@ def _task_terms(model: CostModel, shapes: list[_TaskShape], m: int):
     return t_fwd, t_bwd, produced_total, own_peak, reaching
 
 
-def _exact_prefix(per_block: list[list[float]]) -> tuple[int, list[int]]:
-    """Prefix sums of float totals held exactly as integers over one
-    power-of-two denominator; dividing a difference rounds once, so a span
-    total equals `math.fsum` of its floats."""
-    ratios = [[x.as_integer_ratio() for x in xs] for xs in per_block]
-    denom = max((d for rs in ratios for _, d in rs), default=1)
+def _exact_prefix(per_block: list[list[tuple[float, int]]]) -> tuple[int, list[int]]:
+    """Prefix sums of float totals, from (float, count) pairs, held exactly
+    as integers over one power-of-two denominator; dividing a difference
+    rounds once, so a span total equals `math.fsum` of its floats."""
+    ratios = [[(x.as_integer_ratio(), c) for x, c in xs] for xs in per_block]
+    denom = max((d for rs in ratios for (_, d), _ in rs), default=1)
     prefix = [0]
     for rs in ratios:
-        prefix.append(prefix[-1] + sum(n * (denom // d) for n, d in rs))
+        prefix.append(prefix[-1] + sum(c * n * (denom // d) for (n, d), c in rs))
     return denom, prefix
 
 
@@ -451,9 +468,9 @@ class _SpanTerms:
         self.own_peak: list[int] = []
         self.reaching: list[list[tuple[int, list[tuple[int, int]]]]] = []
         self._peak_rows: dict[int, list[int]] = {}
-        for b, shapes in enumerate(blocks._task_shapes):
+        for b, classes in enumerate(blocks._task_classes):
             fixed, per_sample = blocks._source_bytes[b]
-            tfs, tbs, produced, own_peak, reaching = _task_terms(model, shapes, m)
+            tfs, tbs, produced, own_peak, reaching = _task_terms(model, classes, m)
             t_fwd.append(tfs)
             t_bwd.append(tbs)
             self.resident[b + 1] = self.resident[b] + fixed + m * per_sample + produced
@@ -526,7 +543,8 @@ class BlockSet:
         # without a producer and does not read as an input, such as constants
         # and unread graph inputs; they are resident with checkpointing off
         self._source_bytes: list[tuple[int, int]] = []
-        self._task_shapes: list[list[_TaskShape]] = []
+        # per block: (shape, count) of each class of its tasks (`_task_classes`)
+        self._task_classes: list[list[tuple[_TaskShape, int]]] = []
         for b, sub in enumerate(self.blocks):
             inputs = set(sub.input_values)
             params = fixed = per_sample = 0
@@ -542,7 +560,7 @@ class BlockSet:
                     per_sample += node.value.bytes_per_sample
             self._params[b + 1] = self._params[b] + params
             self._source_bytes.append((fixed, per_sample))
-            self._task_shapes.append(shapes)
+            self._task_classes.append(_task_classes(shapes))
 
     def __len__(self) -> int:
         return len(self.blocks)

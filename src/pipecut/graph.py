@@ -10,8 +10,10 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from operator import itemgetter
+from typing import Any
 
 
 class ParseError(ValueError):
@@ -114,6 +116,54 @@ class TaskGraph:
             pred[dst].append(src)
         self._succ = {nid: tuple(sorted(vs)) for nid, vs in succ.items()}
         self._pred = {nid: tuple(sorted(vs)) for nid, vs in pred.items()}
+
+    def replaced(self, drop: Iterable[str], nodes: Iterable[Node],
+                 edges: Iterable[tuple[str, str]]) -> TaskGraph:
+        """This graph without the `drop` nodes and their edges, plus new
+        `nodes` and `edges`. The result, with nodes in id order and edges
+        sorted, is what the constructor builds from the same parts and is
+        checked the same way, but only the nodes next to a dropped node or a
+        new edge get their successors and predecessors recomputed."""
+        drop = set(drop)
+        ends = sorted(drop & (self.inputs | self.outputs))
+        if ends:
+            raise ValueError(f"declared input/output {ends[0]!r} cannot be dropped")
+        added: dict[str, Node] = {}
+        for n in nodes:
+            if n.id in self.nodes or n.id in added:
+                raise ValueError(f"duplicate node id {n.id!r}")
+            added[n.id] = n
+        out = TaskGraph.__new__(TaskGraph)
+        out.nodes = dict(sorted([item for item in self.nodes.items() if item[0] not in drop]
+                                + list(added.items()), key=itemgetter(0)))
+        new_edges: set[tuple[str, str]] = set()
+        # successors and predecessors each node gains
+        gained: tuple[dict[str, list[str]], dict[str, list[str]]] = ({}, {})
+        for src, dst in edges:
+            if src not in out.nodes or dst not in out.nodes:
+                raise ValueError(f"edge ({src!r}, {dst!r}) references an unknown node")
+            if (src, dst) in new_edges or dst in self._succ.get(src, ()):
+                raise ValueError(f"duplicate edge ({src!r}, {dst!r})")
+            new_edges.add((src, dst))
+            gained[0].setdefault(src, []).append(dst)
+            gained[1].setdefault(dst, []).append(src)
+        out.edges = tuple(sorted([(src, dst) for src, dst in self.edges
+                                  if src not in drop and dst not in drop] + list(new_edges)))
+        out.inputs, out.outputs = self.inputs, self.outputs
+        # a kept node next to a dropped one loses it: a successor of a
+        # dropped node loses a predecessor, and the other way round
+        losing = ({x for nid in drop for x in self._pred[nid]} - drop,
+                  {x for nid in drop for x in self._succ[nid]} - drop)
+        tables = []
+        for old, gains, lost in zip((self._succ, self._pred), gained, losing):
+            table = {nid: vs for nid, vs in old.items() if nid not in drop}
+            table.update((nid, ()) for nid in added)
+            for nid in lost | gains.keys():
+                table[nid] = tuple(sorted([x for x in table[nid] if x not in drop]
+                                          + gains.get(nid, [])))
+            tables.append(table)
+        out._succ, out._pred = tables
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TaskGraph):

@@ -18,8 +18,9 @@ brute-force enumerator cross-checks.
 composed from per-block terms (`BlockSet.profile`), at the per-device
 microbatch share, plus the forward send across its upper cut and the
 backward send across its lower cut (`BlockSet.cut_time`); the stage fits
-when `CostModel.fits` accepts the profile's memory. The dynamic program, the brute-force enumerator that
-cross-checks it, `validate_plan` and `replay` all charge stages this way.
+when `CostModel.fits` accepts the profile's memory. The dynamic program,
+the brute-force enumerator that cross-checks it, `validate_plan` and
+`replay` all charge stages this way.
 
 Memory assumption: a stage is charged one microbatch slice's activations.
 Fill-drain keeps the inputs (checkpointing on) or all activations
