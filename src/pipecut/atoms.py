@@ -17,6 +17,7 @@ model outputs or read outside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .graph import Node, TaskGraph
 
@@ -181,7 +182,9 @@ def build_atomic_subcomponents(g: TaskGraph) -> AtomicPartition:
         if g.producer(vid) is None and vid not in g.inputs and vid not in owners:
             raise DanglingOutput(f"constant value {vid!r} feeds no atom")
 
-    # per-atom id of each constant support node; shared nodes become clones
+    # per-atom id of each constant support node; shared nodes become clones,
+    # named by the first `{id}::c{r}` that no node has (copies of different
+    # nodes never share a name)
     local_id: list[dict[str, str]] = [{} for _ in anchors]
     clone_origins: dict[str, str] = {}
     for nid in sorted(owners):
@@ -189,8 +192,8 @@ def build_atomic_subcomponents(g: TaskGraph) -> AtomicPartition:
         if len(atom_list) == 1:
             local_id[atom_list[0]][nid] = nid
         else:
-            for rank, idx in enumerate(atom_list):
-                clone = f"{nid}::c{rank}"
+            names = (f"{nid}::c{r}" for r in count())
+            for idx, clone in zip(atom_list, (c for c in names if c not in g.nodes)):
                 local_id[idx][nid] = clone
                 clone_origins[clone] = nid
 

@@ -240,7 +240,11 @@ def cmd_simulate(args) -> int:
     if plan.batch_size != args.batch_size:
         raise ParseError(f"plan batch_size {plan.batch_size} does not match "
                          f"--batch-size {args.batch_size}")
-    _, blocks = _load_blocks(args)
+    cluster, blocks = _load_blocks(args)
+    needed = plan.devices_total * plan.replica_factor
+    if needed > cluster.num_devices:
+        raise ParseError(f"plan needs {needed} devices, cluster has "
+                         f"{cluster.num_devices}")
     sched = simulate(plan, blocks)
     print(f"iteration_time_sec: {sched.iteration_time_sec:.9g}")
     print(f"throughput_samples_per_sec: {sched.samples_per_sec:.9g}")

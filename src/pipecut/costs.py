@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .atoms import Subcomponent
-from .graph import ClusterSpec, ParseError, TaskGraph, TaskInfo, parse_amount, read_json
+from .graph import (ClusterSpec, ParseError, TaskGraph, TaskInfo, check_keys,
+                    parse_amount, read_json)
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,17 +68,12 @@ def load_cost_table(path: str) -> dict[str, CostTableEntry]:
     negative or non-finite number."""
     doc = read_json(path)
     if not isinstance(doc, dict):
-        raise ParseError("cost table must be an object of op_sig -> record")
+        raise ParseError(f"cost table: expected an object, got {type(doc).__name__}")
     table: dict[str, CostTableEntry] = {}
     for sig, rec in doc.items():
-        if not isinstance(rec, dict):
-            raise ParseError(f"cost table entry {sig!r} must be an object")
-        unknown = set(rec) - {"microbatch", "t_fwd", "t_bwd", "act_bytes"}
-        if unknown:
-            raise ParseError(f"cost table entry {sig!r}: unknown fields {sorted(unknown)}")
-        if "microbatch" not in rec or "t_fwd" not in rec:
-            raise ParseError(f"cost table entry {sig!r}: microbatch and t_fwd are required")
         where = f"cost table entry {sig!r}"
+        check_keys(rec, {"microbatch", "t_fwd", "t_bwd", "act_bytes"},
+                   {"microbatch", "t_fwd"}, where)
         microbatch = parse_amount(rec["microbatch"], f"{where}: microbatch", whole=True)
         if not sig.endswith(f"|mb={microbatch}"):
             raise ParseError(f"{where}: microbatch {microbatch} does not match "

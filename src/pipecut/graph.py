@@ -249,7 +249,9 @@ class ClusterSpec:
         return self.num_nodes * self.devices_per_node
 
 
-def _check_keys(obj: Mapping[str, Any], allowed: set[str], required: set[str], ctx: str) -> None:
+def check_keys(obj: Mapping[str, Any], allowed: set[str], required: set[str], ctx: str) -> None:
+    """The key check of every input object: ParseError unless `obj` is an
+    object with only `allowed` and all `required` fields."""
     if not isinstance(obj, Mapping):
         raise ParseError(f"{ctx}: expected an object, got {type(obj).__name__}")
     unknown = set(obj) - allowed
@@ -279,7 +281,7 @@ def parse_amount(raw: Any, what: str, whole: bool = False) -> float | int:
 
 
 def _node_from_json(raw: Mapping[str, Any]) -> Node:
-    _check_keys(raw, {"id", "kind", "task", "value"}, {"id", "kind"}, "node")
+    check_keys(raw, {"id", "kind", "task", "value"}, {"id", "kind"}, "node")
     nid = raw["id"]
     if not isinstance(nid, str) or not nid:
         raise ParseError("node id must be a non-empty string")
@@ -288,7 +290,7 @@ def _node_from_json(raw: Mapping[str, Any]) -> Node:
         if "value" in raw:
             raise ParseError(f"task node {nid!r} carries a value payload")
         payload = raw.get("task", {})
-        _check_keys(payload, {"op", "flops_per_sample", "attrs"}, {"op"}, f"node {nid!r} task")
+        check_keys(payload, {"op", "flops_per_sample", "attrs"}, {"op"}, f"node {nid!r} task")
         op, attrs = payload["op"], payload.get("attrs", {})
         if not isinstance(op, str) or not op:
             raise ParseError(f"node {nid!r}: op must be a non-empty string, got {op!r}")
@@ -304,7 +306,7 @@ def _node_from_json(raw: Mapping[str, Any]) -> Node:
         if "task" in raw:
             raise ParseError(f"value node {nid!r} carries a task payload")
         payload = raw.get("value", {})
-        _check_keys(payload, {"fixed_bytes", "bytes_per_sample", "is_param"}, set(), f"node {nid!r} value")
+        check_keys(payload, {"fixed_bytes", "bytes_per_sample", "is_param"}, set(), f"node {nid!r} value")
         is_param = payload.get("is_param", False)
         if not isinstance(is_param, bool):
             raise ParseError(f"node {nid!r}: is_param must be true or false, got {is_param!r}")
@@ -321,7 +323,7 @@ def _node_from_json(raw: Mapping[str, Any]) -> Node:
 
 def graph_from_json(doc: Mapping[str, Any]) -> TaskGraph:
     """Build and validate a TaskGraph from an already-parsed JSON document."""
-    _check_keys(doc, {"nodes", "edges", "inputs", "outputs"}, {"nodes", "edges"}, "graph")
+    check_keys(doc, {"nodes", "edges", "inputs", "outputs"}, {"nodes", "edges"}, "graph")
     raw_nodes = doc["nodes"]
     raw_edges = doc["edges"]
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
@@ -460,7 +462,7 @@ def count_params(g: TaskGraph) -> int:
 
 
 def cluster_from_json(doc: Mapping[str, Any]) -> ClusterSpec:
-    _check_keys(
+    check_keys(
         doc,
         {"num_nodes", "devices_per_node", "device_memory_bytes",
          "bw_intra", "bw_inter", "link_latency_sec"},

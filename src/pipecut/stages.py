@@ -30,21 +30,24 @@ that residency is not charged.
 `replay` is GPipe's fill-drain schedule (arXiv 1811.06965): all microbatches
 forward through the stages, then backward in reverse microbatch order, then
 a gradient sync on every stage whose parameters live on several devices.
-Devices never overlap their own work and sends occupy the sender, so a
-stage's cadence matches its charged time. Pipeline replicas behave alike:
-one replica's stage lanes are replayed, and the replica count only enters
-the gradient sync.
+One lane step serves every phase: a stage starts it when its lane is free
+and its input has arrived, then runs its send, which occupies the sender.
+So devices never overlap their own work, a stage's cadence matches its
+charged time, and a microbatch's arrival is carried from stage to stage
+rather than kept in a table. Pipeline replicas behave alike: one replica's
+stage lanes are replayed, and the replica count only enters the gradient
+sync.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .blocks import BlockSet
 from .costs import CostRecord
-from .graph import ParseError, Violation, parse_amount
+from .graph import ParseError, Violation, check_keys, parse_amount
 
 
 class InvalidArgs(ValueError):
@@ -105,15 +108,13 @@ class Plan:
     def from_json(doc: dict) -> "Plan":
         top = {"stages", "microbatches", "replica_factor", "objective",
                "batch_size", "devices_total"}
-        if not isinstance(doc, dict) or set(doc) != top:
-            raise ParseError(f"plan document must have exactly the keys {sorted(top)}")
+        check_keys(doc, top, top, "plan")
         if not isinstance(doc["stages"], list):
             raise ParseError("plan stages must be an array")
         stage_keys = {"blocks", "devices", "replicas", "t_fwd", "t_bwd", "mem"}
         stages = []
-        for st in doc["stages"]:
-            if not isinstance(st, dict) or set(st) != stage_keys:
-                raise ParseError(f"plan stage must have exactly the keys {sorted(stage_keys)}")
+        for i, st in enumerate(doc["stages"]):
+            check_keys(st, stage_keys, stage_keys, f"plan stage {i}")
             if not isinstance(st["blocks"], list) or len(st["blocks"]) != 2:
                 raise ParseError("plan stage blocks must be a [from, to) pair")
             stages.append(StagePlan(
@@ -348,16 +349,6 @@ def form_stage_dp(blocks: BlockSet, S: int, D: int, batch_size: int,
     return SearchResult(plans.get(S), stats)
 
 
-def _compositions(total: int, parts: int):
-    """All positive integer tuples of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(1, total - parts + 2):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def brute_force_partition(blocks: BlockSet, S: int, D: int, batch_size: int,
                           replica_factor: int, microbatches: int,
                           options: SearchOptions | None = None) -> SearchResult:
@@ -369,30 +360,35 @@ def brute_force_partition(blocks: BlockSet, S: int, D: int, batch_size: int,
     fits = blocks.model.fits
     stats = SearchStats()
 
-    best_key = None
-    for cuts in combinations(range(1, nb), S - 1):
-        bounds = (0,) + cuts + (nb,)
-        for devs in _compositions(D, S):
-            stats.visits += 1
-            tfs: list[float] = []
-            tbs: list[float] = []
-            for rec, fwd, bwd in _stage_costs(
-                    blocks, tuple(zip(bounds, bounds[1:], devs)), batch_size,
-                    microbatches, replica_factor):
-                if rec is None or not fits(rec.mem_bytes):
-                    break
-                tfs.append(rec.t_fwd_sec + fwd)
-                tbs.append(rec.t_bwd_sec + bwd)
-            if len(tfs) < S:
-                continue
-            key = (max(tfs) + max(tbs), bounds, devs)
-            if best_key is None or key < best_key:
-                best_key = key
-    if best_key is None:
+    def splits(n: int):
+        """Each way to cut 0..n into S positive parts, as S + 1 bounds."""
+        return [(0, *cuts, n) for cuts in combinations(range(1, n), S - 1)]
+
+    # visits run in (block cuts, device cuts) order, so keeping the first
+    # best makes ties go to the smallest cuts
+    best = None
+    for bounds, dev_bounds in product(splits(nb), splits(D)):
+        stats.visits += 1
+        devs = [d1 - d0 for d0, d1 in zip(dev_bounds, dev_bounds[1:])]
+        spans = tuple(zip(bounds, bounds[1:], devs))
+        tfs: list[float] = []
+        tbs: list[float] = []
+        for rec, fwd, bwd in _stage_costs(blocks, spans, batch_size,
+                                          microbatches, replica_factor):
+            if rec is None or not fits(rec.mem_bytes):
+                break
+            tfs.append(rec.t_fwd_sec + fwd)
+            tbs.append(rec.t_bwd_sec + bwd)
+        if len(tfs) < S:
+            continue
+        objective = max(tfs) + max(tbs)
+        if best is None or objective < best[0]:
+            best = (objective, spans)
+    if best is None:
         return SearchResult(None, stats)
-    objective, bounds, devs = best_key
-    plan = _assemble(blocks, tuple(zip(bounds, bounds[1:], devs)), batch_size,
-                     microbatches, replica_factor, objective)
+    objective, spans = best
+    plan = _assemble(blocks, spans, batch_size, microbatches, replica_factor,
+                     objective)
     return SearchResult(plan, stats)
 
 
@@ -540,57 +536,41 @@ def replay(plan: Plan, blocks: BlockSet) -> tuple[float, list[list]]:
 
     lane_free = [0.0] * S
     lanes: list[list[tuple[int, str, float, float]]] = [[] for _ in range(S)]
-    arrival = [[0.0] * S for _ in range(MB)]
+
+    def step(s: int, mb: int, phase: str, dur: float, ready: float = 0.0,
+             send: float = 0.0) -> float:
+        """Run one phase and its send on stage s; returns when both end."""
+        start = max(lane_free[s], ready)
+        end = start + dur
+        lanes[s].append((mb, phase, start, end))
+        if send > 0.0:
+            lanes[s].append((mb, "comm", end, end + send))
+            end += send
+        lane_free[s] = end
+        return end
 
     for mb in range(MB):
+        ready = 0.0
         for s in range(S):
-            start = max(lane_free[s], arrival[mb][s])
-            end = start + tf[s]
-            lanes[s].append((mb, "fwd", start, end))
-            lane_free[s] = end
-            if s < S - 1:
-                send_end = end + c_fwd[s]
-                if c_fwd[s] > 0.0:
-                    lanes[s].append((mb, "comm", end, send_end))
-                lane_free[s] = send_end
-                arrival[mb][s + 1] = send_end
-
-    grad_arrival = [[0.0] * S for _ in range(MB)]
+            ready = step(s, mb, "fwd", tf[s], ready, c_fwd[s])
     for mb in range(MB - 1, -1, -1):
+        ready = 0.0
         for s in range(S - 1, -1, -1):
             if ckpt:
-                start = lane_free[s]
-                end = start + tf[s]
-                lanes[s].append((mb, "recompute", start, end))
-                lane_free[s] = end
-            start = max(lane_free[s], grad_arrival[mb][s])
-            end = start + tb[s]
-            lanes[s].append((mb, "bwd", start, end))
-            lane_free[s] = end
-            if s > 0:
-                send_end = end + c_bwd[s]
-                if c_bwd[s] > 0.0:
-                    lanes[s].append((mb, "comm", end, send_end))
-                lane_free[s] = send_end
-                grad_arrival[mb][s - 1] = send_end
+                step(s, mb, "recompute", tf[s])
+            ready = step(s, mb, "bwd", tb[s], ready, c_bwd[s])
 
     d1 = 0
     for s, st in enumerate(plan.stages):
         d0, d1 = d1, d1 + st.devices
-        group = st.replicas
-        if group <= 1:
-            continue
         params = blocks.param_bytes(*st.blocks)
-        if params == 0:
+        if st.replicas <= 1 or params == 0:
             continue
-        nbytes = 2 * params * (group - 1) // group
+        # at least one byte over a finite bandwidth: the sync takes time
+        nbytes = 2 * params * (st.replicas - 1) // st.replicas
         first_node = d0 // cluster.devices_per_node
         last_node = (d1 - 1) // cluster.devices_per_node
-        spans_nodes = R > 1 or first_node != last_node
-        dur = blocks.model.comm_time(nbytes, inter_node=spans_nodes)
-        if dur > 0.0:
-            start = lane_free[s]
-            lanes[s].append((-1, "allreduce", start, start + dur))
-            lane_free[s] = start + dur
+        step(s, -1, "allreduce", blocks.model.comm_time(
+            nbytes, inter_node=R > 1 or first_node != last_node))
 
     return max(lane_free), lanes
