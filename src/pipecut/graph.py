@@ -3,6 +3,9 @@
 Task nodes consume and produce value nodes. Values carry byte sizes (a fixed
 part plus a per-sample part), tasks carry per-sample FLOP estimates. All
 iteration orders are deterministic so downstream passes are reproducible.
+A graph file is one JSON document: `save_graph` writes it on one line, and
+`load_graph` reads it with any whitespace, checking each node in one pass.
+A graph never changes, so it is sorted once and each caller gets a copy.
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from collections.abc import Iterable, Mapping
+import sys
+from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any
@@ -116,6 +120,7 @@ class TaskGraph:
             pred[dst].append(src)
         self._succ = {nid: tuple(sorted(vs)) for nid, vs in succ.items()}
         self._pred = {nid: tuple(sorted(vs)) for nid, vs in pred.items()}
+        self._order: tuple[str, ...] | None = None
 
     def replaced(self, drop: Iterable[str], nodes: Iterable[Node],
                  edges: Iterable[tuple[str, str]]) -> TaskGraph:
@@ -163,6 +168,7 @@ class TaskGraph:
                                           + gains.get(nid, [])))
             tables.append(table)
         out._succ, out._pred = tables
+        out._order = None
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -205,7 +211,11 @@ class TaskGraph:
         return info.fixed_bytes + microbatch * info.bytes_per_sample
 
     def topo_order(self) -> list[str]:
-        """Topological order over all nodes, ties broken by ascending id."""
+        """Topological order over all nodes, ties broken by ascending id.
+        The graph does not change, so it is sorted once; each call returns
+        a fresh list."""
+        if self._order is not None:
+            return list(self._order)
         indeg = {nid: len(self._pred[nid]) for nid in self.nodes}
         ready = [nid for nid, d in indeg.items() if d == 0]
         heapq.heapify(ready)
@@ -220,6 +230,7 @@ class TaskGraph:
         if len(order) != len(self.nodes):
             stuck = sorted(nid for nid, d in indeg.items() if d > 0)
             raise CycleError(f"graph contains a cycle through {stuck[:8]}")
+        self._order = tuple(order)
         return order
 
 
@@ -249,22 +260,36 @@ class ClusterSpec:
         return self.num_nodes * self.devices_per_node
 
 
-def check_keys(obj: Mapping[str, Any], allowed: set[str], required: set[str], ctx: str) -> None:
+_FLOAT_MAX = sys.float_info.max
+_NODE_FIELDS = frozenset({"id", "kind", "task", "value"})
+# per node kind: the fields its payload may carry, those it must, and the
+# other kind, whose payload the node must not carry
+_PAYLOAD_FIELDS = {
+    "task": (frozenset({"op", "flops_per_sample", "attrs"}), frozenset({"op"}), "value"),
+    "value": (frozenset({"fixed_bytes", "bytes_per_sample", "is_param"}), frozenset(), "task"),
+}
+
+
+def check_keys(obj: Mapping[str, Any], allowed: Set[str], required: Set[str], ctx: str) -> None:
     """The key check of every input object: ParseError unless `obj` is an
     object with only `allowed` and all `required` fields."""
-    if not isinstance(obj, Mapping):
+    # dict first: an isinstance check against the Mapping ABC is slow
+    if not isinstance(obj, (dict, Mapping)):
         raise ParseError(f"{ctx}: expected an object, got {type(obj).__name__}")
+    if allowed.issuperset(obj) and required.issubset(obj):
+        return
     unknown = set(obj) - allowed
     if unknown:
         raise ParseError(f"{ctx}: unknown fields {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ParseError(f"{ctx}: missing fields {sorted(missing)}")
+    raise ParseError(f"{ctx}: missing fields {sorted(required - set(obj))}")
 
 
 def parse_amount(raw: Any, what: str, whole: bool = False) -> float | int:
     """A finite, non-negative JSON number: a float, or an int when `whole`.
     Anything else raises ParseError naming `what`."""
+    # the common case, with the result the checks below give it
+    if (type(raw) is int or (type(raw) is float and not whole)) and 0 <= raw <= _FLOAT_MAX:
+        return raw if whole else float(raw)
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ParseError(f"{what} must be a number, got {raw!r}")
     try:
@@ -281,44 +306,37 @@ def parse_amount(raw: Any, what: str, whole: bool = False) -> float | int:
 
 
 def _node_from_json(raw: Mapping[str, Any]) -> Node:
-    check_keys(raw, {"id", "kind", "task", "value"}, {"id", "kind"}, "node")
-    nid = raw["id"]
+    """One node document as a Node, checked in one pass. The order of the
+    checks decides which fault a document with several is rejected for."""
+    check_keys(raw, _NODE_FIELDS, {"id", "kind"}, "node")
+    nid, kind = raw["id"], raw["kind"]
     if not isinstance(nid, str) or not nid:
         raise ParseError("node id must be a non-empty string")
-    kind = raw["kind"]
+    where = f"node {nid!r}"
+    if kind != "task" and kind != "value":
+        raise ParseError(f"{where}: kind must be 'task' or 'value', got {kind!r}")
+    allowed, required, other = _PAYLOAD_FIELDS[kind]
+    if other in raw:
+        raise ParseError(f"{kind} {where} carries a {other} payload")
+    payload = raw.get(kind, {})
+    check_keys(payload, allowed, required, f"{where} {kind}")
+    get = payload.get
     if kind == "task":
-        if "value" in raw:
-            raise ParseError(f"task node {nid!r} carries a value payload")
-        payload = raw.get("task", {})
-        check_keys(payload, {"op", "flops_per_sample", "attrs"}, {"op"}, f"node {nid!r} task")
-        op, attrs = payload["op"], payload.get("attrs", {})
+        op, attrs = payload["op"], get("attrs", {})
         if not isinstance(op, str) or not op:
-            raise ParseError(f"node {nid!r}: op must be a non-empty string, got {op!r}")
-        if not isinstance(attrs, Mapping):
-            raise ParseError(f"node {nid!r}: attrs must be an object")
+            raise ParseError(f"{where}: op must be a non-empty string, got {op!r}")
+        if not isinstance(attrs, (dict, Mapping)):
+            raise ParseError(f"{where}: attrs must be an object")
         return Node(nid, task=TaskInfo(
-            op=op,
-            flops_per_sample=parse_amount(payload.get("flops_per_sample", 0),
-                                          f"node {nid!r}: flops_per_sample"),
-            attrs=dict(attrs),
-        ))
-    if kind == "value":
-        if "task" in raw:
-            raise ParseError(f"value node {nid!r} carries a task payload")
-        payload = raw.get("value", {})
-        check_keys(payload, {"fixed_bytes", "bytes_per_sample", "is_param"}, set(), f"node {nid!r} value")
-        is_param = payload.get("is_param", False)
-        if not isinstance(is_param, bool):
-            raise ParseError(f"node {nid!r}: is_param must be true or false, got {is_param!r}")
-        return Node(nid, value=ValueInfo(
-            fixed_bytes=parse_amount(payload.get("fixed_bytes", 0),
-                                     f"node {nid!r}: fixed_bytes", whole=True),
-            bytes_per_sample=parse_amount(payload.get("bytes_per_sample", 0),
-                                          f"node {nid!r}: bytes_per_sample",
-                                          whole=True),
-            is_param=is_param,
-        ))
-    raise ParseError(f"node {nid!r}: kind must be 'task' or 'value', got {kind!r}")
+            op, parse_amount(get("flops_per_sample", 0), where + ": flops_per_sample"),
+            dict(attrs)))
+    is_param = get("is_param", False)
+    if not isinstance(is_param, bool):
+        raise ParseError(f"{where}: is_param must be true or false, got {is_param!r}")
+    return Node(nid, value=ValueInfo(
+        parse_amount(get("fixed_bytes", 0), where + ": fixed_bytes", whole=True),
+        parse_amount(get("bytes_per_sample", 0), where + ": bytes_per_sample", whole=True),
+        is_param))
 
 
 def graph_from_json(doc: Mapping[str, Any]) -> TaskGraph:
@@ -365,30 +383,15 @@ def load_graph(path: str) -> TaskGraph:
 
 
 def graph_to_json(g: TaskGraph) -> dict[str, Any]:
+    """The document that `graph_from_json` reads back as `g`. A payload
+    holds its info's fields, in the order the dataclass declares them."""
     nodes = []
     for nid, n in g.nodes.items():
-        if n.is_task:
-            assert n.task is not None
-            nodes.append({
-                "id": nid,
-                "kind": "task",
-                "task": {
-                    "op": n.task.op,
-                    "flops_per_sample": n.task.flops_per_sample,
-                    "attrs": dict(n.task.attrs),
-                },
-            })
+        if n.task is not None:
+            task = {**vars(n.task), "attrs": dict(n.task.attrs)}
+            nodes.append({"id": nid, "kind": "task", "task": task})
         else:
-            assert n.value is not None
-            nodes.append({
-                "id": nid,
-                "kind": "value",
-                "value": {
-                    "fixed_bytes": n.value.fixed_bytes,
-                    "bytes_per_sample": n.value.bytes_per_sample,
-                    "is_param": n.value.is_param,
-                },
-            })
+            nodes.append({"id": nid, "kind": "value", "value": dict(vars(n.value))})
     return {
         "nodes": nodes,
         "edges": [[a, b] for a, b in g.edges],
@@ -398,26 +401,17 @@ def graph_to_json(g: TaskGraph) -> dict[str, Any]:
 
 
 def save_graph(g: TaskGraph, path: str) -> None:
+    """Write `g` as one line of JSON. The text is encoded before the file is
+    opened, so a graph that does not encode leaves the file as it was."""
+    text = json.dumps(graph_to_json(g)) + "\n"
     with open(path, "w") as fh:
-        json.dump(graph_to_json(g), fh, indent=1)
-        fh.write("\n")
-
-
-def _forward_reach(g: TaskGraph, seeds: Iterable[str]) -> set[str]:
-    reach = set()
-    stack = [s for s in seeds if s in g.nodes]
-    while stack:
-        nid = stack.pop()
-        if nid in reach:
-            continue
-        reach.add(nid)
-        stack.extend(g.succ(nid))
-    return reach
+        fh.write(text)
 
 
 def validate_graph(g: TaskGraph) -> list[Violation]:
     """Return every violated graph invariant; empty list means valid."""
     out: list[Violation] = []
+    sources = set(g.inputs)
     for src, dst in g.edges:
         if g.nodes[src].is_task == g.nodes[dst].is_task:
             kinds = "tasks" if g.nodes[src].is_task else "values"
@@ -425,6 +419,8 @@ def validate_graph(g: TaskGraph) -> list[Violation]:
                                  f"edge connects two {kinds}"))
     for vid in g.value_ids():
         preds = g.pred(vid)
+        if not preds:
+            sources.add(vid)
         if len(preds) > 1:
             out.append(Violation("multi-producer-value", (vid, *preds),
                                  f"value has {len(preds)} producers"))
@@ -441,8 +437,12 @@ def validate_graph(g: TaskGraph) -> list[Violation]:
     except CycleError as exc:
         out.append(Violation("cycle", (), str(exc)))
         return out  # reachability is meaningless on a cyclic graph
-    sources = {vid for vid in g.value_ids() if not g.pred(vid)}
-    reach = _forward_reach(g, g.inputs | sources)
+    reach, stack = set(), list(sources)
+    while stack:
+        nid = stack.pop()
+        if nid not in reach:
+            reach.add(nid)
+            stack.extend(g.succ(nid))
     for oid in sorted(g.outputs):
         if oid not in reach:
             out.append(Violation("unreachable-output", (oid,),
