@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
-import sys
 from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -260,7 +258,8 @@ class ClusterSpec:
         return self.num_nodes * self.devices_per_node
 
 
-_FLOAT_MAX = sys.float_info.max
+# the least integer that float() overflows on: every finite float is below it
+_FLOAT_OVERFLOW = 2**1024 - 2**970
 _NODE_FIELDS = frozenset({"id", "kind", "task", "value"})
 # per node kind: the fields its payload may carry, those it must, and the
 # other kind, whose payload the node must not carry
@@ -287,20 +286,14 @@ def check_keys(obj: Mapping[str, Any], allowed: Set[str], required: Set[str], ct
 def parse_amount(raw: Any, what: str, whole: bool = False) -> float | int:
     """A finite, non-negative JSON number: a float, or an int when `whole`.
     Anything else raises ParseError naming `what`."""
-    # the common case, with the result the checks below give it
-    if (type(raw) is int or (type(raw) is float and not whole)) and 0 <= raw <= _FLOAT_MAX:
-        return raw if whole else float(raw)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+    kind = type(raw)
+    if kind is not int and kind is not float:  # bools included
         raise ParseError(f"{what} must be a number, got {raw!r}")
-    try:
-        finite = math.isfinite(raw)
-    except OverflowError:  # an integer past the float range
-        finite = False
-    if not finite or raw < 0:
+    if not 0 <= raw < _FLOAT_OVERFLOW:  # NaN fails both comparisons
         raise ParseError(f"{what} must be finite and non-negative, got {raw!r}")
     if not whole:
         return float(raw)
-    if raw != int(raw):
+    if kind is float and not raw.is_integer():
         raise ParseError(f"{what} must be a whole number, got {raw!r}")
     return int(raw)
 
@@ -328,15 +321,16 @@ def _node_from_json(raw: Mapping[str, Any]) -> Node:
         if not isinstance(attrs, (dict, Mapping)):
             raise ParseError(f"{where}: attrs must be an object")
         return Node(nid, task=TaskInfo(
-            op, parse_amount(get("flops_per_sample", 0), where + ": flops_per_sample"),
-            dict(attrs)))
+            op=op, attrs=dict(attrs), flops_per_sample=parse_amount(
+                get("flops_per_sample", 0), where + ": flops_per_sample")))
     is_param = get("is_param", False)
     if not isinstance(is_param, bool):
         raise ParseError(f"{where}: is_param must be true or false, got {is_param!r}")
     return Node(nid, value=ValueInfo(
-        parse_amount(get("fixed_bytes", 0), where + ": fixed_bytes", whole=True),
-        parse_amount(get("bytes_per_sample", 0), where + ": bytes_per_sample", whole=True),
-        is_param))
+        fixed_bytes=parse_amount(get("fixed_bytes", 0), where + ": fixed_bytes", whole=True),
+        bytes_per_sample=parse_amount(get("bytes_per_sample", 0), where + ": bytes_per_sample",
+                                      whole=True),
+        is_param=is_param))
 
 
 def graph_from_json(doc: Mapping[str, Any]) -> TaskGraph:

@@ -124,7 +124,9 @@ NUMBER_FIELDS = [("task", "flops_per_sample"), ("value", "fixed_bytes"),
 # values, and good ones of both JSON number types
 NUMBERS = ["1", None, [], {}, [1], True, False, -1, -0.5, -0.0, math.nan, math.inf,
            -math.inf, 10**400, -10**400, 2**1024, 1.5, 0.5, 2**53 + 1, 0, 0.0, 3, 4.0,
-           1e308, 1.7976931348623157e308, 10**308]
+           1e308, 1.7976931348623157e308, 10**308,
+           # ints around the first one float() overflows on
+           2**1024 - 2**971 + 1, 2**1024 - 2**970 - 1, 2**1024 - 2**970]
 IDS = ["", 1, 0, None, [], {}, True, 1.5, ["t0"], "a", "t0::c0", "ÿ"]
 NOT_OBJECTS = [None, 1, 1.5, "x", "", [], [["op", "mm"]], True]
 KINDS = ["task", "value", "Task", "VALUE", "", None, 1, True, ["task"], {"task": 1}]
