@@ -9,16 +9,16 @@ any cycle of groups into one group; and a compaction that folds
 list-adjacent groups whenever coarsening stalled short of the target.
 
 Every group must fit device memory (`CostModel.fits`) at microbatch 1 with
-checkpointing on; that is the floor any later stage assignment has to clear
-as well. A group's memory is composed from per-atom terms built once
-(parameter bytes, inputs with their owners, each task's working set and its
-reads of other atoms' values) and equals `CostModel.profile` on the merged
-group; a candidate move is scored by its traffic gain over only the values
-the mover's atoms own or read, the Fiduccia-Mattheyses gain (1982), which
-equals the difference of two whole-graph recounts. Only the final blocks are
-profiled by walking their nodes. The resulting `BlockSet` owns the span
-profiles and the boundary transfer times that stage search, plan checking
-and replay share.
+checkpointing on, the floor any later stage assignment has to clear too.
+One walk (`_home_terms`) gives the terms of a home, an atom or a block:
+parameter bytes, source bytes, and each task's working set with its reads
+keyed by owning home. A group's memory is composed from its atoms' terms
+by the working-set rule (`_peak`) that spans use too; it equals
+`CostModel.profile` on the merged group, which runs on final blocks only.
+A candidate move is scored by its traffic gain over only the values the
+mover's atoms own or read, the Fiduccia-Mattheyses gain (1982), which equals
+the difference of two whole-graph recounts. `BlockSet` holds the span
+profiles and cut times that stage search, plan checking and replay share.
 
 `BlockSet.profile` composes a span's `CostRecord` from per-block terms in
 constant time instead of walking the span's nodes, the way PipeDream's
@@ -38,7 +38,7 @@ import graphlib
 import heapq
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .atoms import AtomicPartition, Subcomponent
 from .costs import CostModel, CostRecord, op_signature
@@ -126,16 +126,10 @@ class _Grouping:
         self._inputs: list[tuple[tuple[int, int, int], ...]] = []
         self._own_peak: list[int] = []
         self._reaching: list[list[tuple[int, list[tuple[int, int]]]]] = []
-        for a, atom in enumerate(partition.atoms):
-            params = 0
-            shapes: list[tuple[_TaskShape, int]] = []  # one pair per task
-            for nid in atom.node_ids:
-                node = g.nodes[nid]
-                if node.is_task:
-                    shapes.append((_task_shape(g, nid, a, owner_of), 1))
-                elif node.value.is_param:
-                    params += node.value.fixed_bytes
-            t_fwd, t_bwd, _, own_peak, reaching = _task_terms(model, shapes, 1)
+        home_terms = _home_terms(partition, [(a,) for a in range(n)])
+        for atom, (params, _, shapes) in zip(partition.atoms, home_terms):
+            t_fwd, t_bwd, _, own_peak, reaching = _task_terms(
+                model, [(shape, 1) for shape in shapes], 1)
             self.atom_comp.append(math.fsum(t for t, _ in t_fwd)
                                   + math.fsum(t for t, _ in t_bwd))
             self._params.append(params)
@@ -178,10 +172,7 @@ class _Grouping:
                 if owner not in members and vi not in seen:
                     seen.add(vi)
                     input_bytes += size
-            peak = max(peak, self._own_peak[a])
-            for own, reads in self._reaching[a]:
-                peak = max(peak, own + sum(size for owner, size in reads
-                                           if owner in members))
+            peak = _peak(peak, self._own_peak[a], self._reaching[a], members)
         return self.model.training_bytes(params, input_bytes + peak)
 
     def fits(self, group: tuple[int, ...]) -> bool:
@@ -377,26 +368,43 @@ class _TaskShape(NamedTuple):
     foreign_reads: tuple        # (owner, fixed, per sample) of the others
 
 
-def _task_shape(g, nid: str, home: int, owner_of) -> _TaskShape:
-    """The shape of task `nid` in `home`, given value id -> owner index."""
+def _home_terms(partition: AtomicPartition, homes) -> Iterator[tuple]:
+    """The one walk over a home's nodes, for atoms and blocks alike. Yields per
+    home (a tuple of atom indices): parameter bytes; source bytes, (fixed, per
+    sample) of the non-parameter values with no producer that are not graph
+    inputs some task reads (those live with their first reader), such as
+    constants; and each task's `_TaskShape`, with foreign reads keyed by home."""
+    g = partition.graph
+    home_of = _group_index(homes, len(partition.atoms))
+    owner_of = partition.owner_of_value
 
     def sizes(vid):
         info = g.nodes[vid].value
         return None if info.is_param else (info.fixed_bytes, info.bytes_per_sample)
 
-    produced = tuple(sz for sz in map(sizes, g.succ(nid)) if sz is not None)
-    local: list[tuple[int, int]] = []
-    foreign: list[tuple[int, int, int]] = []
-    for vid in g.pred(nid):
-        sz = sizes(vid)
-        if sz is None or vid in g.inputs:
-            continue  # parameters, and graph inputs, which are inputs anywhere
-        owner = owner_of(vid)
-        if owner == home:
-            local.append(sz)
-        else:
-            foreign.append((owner, *sz))
-    return _TaskShape(g.nodes[nid].task, produced, tuple(local), tuple(foreign))
+    for h, atoms in enumerate(homes):
+        params = fixed = per_sample = 0
+        shapes: list[_TaskShape] = []
+        for nid in (nid for a in atoms for nid in partition.atoms[a].node_ids):
+            node = g.nodes[nid]
+            if node.is_task:
+                produced = tuple(sz for sz in map(sizes, g.succ(nid)) if sz is not None)
+                local, foreign = [], []
+                for vid in g.pred(nid):
+                    sz = sizes(vid)
+                    if sz is not None and vid not in g.inputs:
+                        owner = home_of[owner_of(vid)]
+                        if owner == h:
+                            local.append(sz)
+                        else:
+                            foreign.append((owner, *sz))
+                shapes.append(_TaskShape(node.task, produced, tuple(local), tuple(foreign)))
+            elif node.value.is_param:
+                params += node.value.fixed_bytes
+            elif g.producer(nid) is None and not (nid in g.inputs and g.consumers(nid)):
+                fixed += node.value.fixed_bytes
+                per_sample += node.value.bytes_per_sample
+        yield params, (fixed, per_sample), shapes
 
 
 def _task_classes(shapes: list[_TaskShape]) -> list[tuple[_TaskShape, int]]:
@@ -437,6 +445,16 @@ def _task_terms(model: CostModel, classes: list[tuple[_TaskShape, int]], m: int)
         else:
             own_peak = max(own_peak, own)
     return t_fwd, t_bwd, produced_total, own_peak, reaching
+
+
+def _peak(peak: int, own_peak: int, reaching, inside) -> int:
+    """The one working-set rule: the larger of `peak` and a home's largest
+    task working set, which a foreign read joins only if its owner is
+    `inside` the group or span; any other read is an input of it."""
+    peak = max(peak, own_peak)
+    for own, reads in reaching:
+        peak = max(peak, own + sum(size for owner, size in reads if owner in inside))
+    return peak
 
 
 def _exact_prefix(per_block: list[list[tuple[float, int]]]) -> tuple[int, list[int]]:
@@ -484,13 +502,10 @@ class _SpanTerms:
         from a block below lo is a span input, so it leaves the working set."""
         row = self._peak_rows.get(lo)
         if row is None:
-            row = [0] * (len(self.own_peak) + 1)
-            peak = 0
-            for b in range(lo, len(self.own_peak)):
-                peak = max(peak, self.own_peak[b])
-                for own, reads in self.reaching[b]:
-                    peak = max(peak, own + sum(size for ob, size in reads if ob >= lo))
-                row[b + 1] = peak
+            n = len(self.own_peak)
+            row = [0] * (n + 1)
+            for b in range(lo, n):
+                row[b + 1] = _peak(row[b], self.own_peak[b], self.reaching[b], range(lo, n))
             self._peak_rows[lo] = row
         return row
 
@@ -515,10 +530,8 @@ class BlockSet:
         self._input_reads: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         block_of = {a: bi for bi, grp in enumerate(self.block_atoms) for a in grp}
         g = self.partition.graph
-        value_block: dict[str, int] = {}
         for vid in g.value_ids():
             owner = block_of[self.partition.owner_of_value(vid)]
-            value_block[vid] = owner
             readers = sorted({block_of[c] for c in self.partition.consumer_atoms(vid)})
             last = readers[-1] if readers else owner
             info = g.nodes[vid].value
@@ -538,28 +551,14 @@ class BlockSet:
         self._input_rows: dict[int, tuple[list[int], list[int]]] = {}
         self._terms: dict[int, _SpanTerms] = {}  # by microbatch size
         self._profiles: dict[tuple[int, int, int, bool], CostRecord] = {}
-        self._params = [0] * (n + 1)
-        # per block: (fixed, per sample) of the non-parameter values it holds
-        # without a producer and does not read as an input, such as constants
-        # and unread graph inputs; they are resident with checkpointing off
+        self._params = [0]
+        # per block: (fixed, per sample) of its source values, resident with
+        # checkpointing off, and (shape, count) of each class of its tasks
         self._source_bytes: list[tuple[int, int]] = []
-        # per block: (shape, count) of each class of its tasks (`_task_classes`)
         self._task_classes: list[list[tuple[_TaskShape, int]]] = []
-        for b, sub in enumerate(self.blocks):
-            inputs = set(sub.input_values)
-            params = fixed = per_sample = 0
-            shapes: list[_TaskShape] = []
-            for nid in sub.node_ids:
-                node = g.nodes[nid]
-                if node.is_task:
-                    shapes.append(_task_shape(g, nid, b, value_block.__getitem__))
-                elif node.value.is_param:
-                    params += node.value.fixed_bytes
-                elif nid not in inputs and g.producer(nid) is None:
-                    fixed += node.value.fixed_bytes
-                    per_sample += node.value.bytes_per_sample
-            self._params[b + 1] = self._params[b] + params
-            self._source_bytes.append((fixed, per_sample))
+        for params, source, shapes in _home_terms(self.partition, self.block_atoms):
+            self._params.append(self._params[-1] + params)
+            self._source_bytes.append(source)
             self._task_classes.append(_task_classes(shapes))
 
     def __len__(self) -> int:

@@ -36,13 +36,14 @@ So devices never overlap their own work, a stage's cadence matches its
 charged time, and a microbatch's arrival is carried from stage to stage
 rather than kept in a table. Pipeline replicas behave alike: one replica's
 stage lanes are replayed, and the replica count only enters the gradient
-sync.
+sync. A stage on r devices syncs `2 * params * (r - 1) // r` bytes: the
+ring-allreduce volume, rounded down to a whole byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations, product
 
 from .blocks import BlockSet
@@ -85,55 +86,31 @@ class Plan:
     devices_total: int       # devices per pipeline replica, summed over stages
 
     def to_json(self) -> dict:
-        return {
-            "stages": [
-                {
-                    "blocks": list(st.blocks),
-                    "devices": st.devices,
-                    "replicas": st.replicas,
-                    "t_fwd": st.t_fwd,
-                    "t_bwd": st.t_bwd,
-                    "mem": st.mem,
-                }
-                for st in self.stages
-            ],
-            "microbatches": self.microbatches,
-            "replica_factor": self.replica_factor,
-            "objective": self.objective,
-            "batch_size": self.batch_size,
-            "devices_total": self.devices_total,
-        }
+        return {**vars(self), "stages": [{**vars(st), "blocks": list(st.blocks)}
+                                         for st in self.stages]}
 
     @staticmethod
     def from_json(doc: dict) -> "Plan":
-        top = {"stages", "microbatches", "replica_factor", "objective",
-               "batch_size", "devices_total"}
+        """Key sets, whole numbers and check order follow the dataclass fields."""
+        def amounts(raw: dict, cls, what: str) -> dict:
+            return {f.name: parse_amount(raw[f.name], f"{what} {f.name}",
+                                         whole=f.type == "int")
+                    for f in fields(cls) if f.name not in ("blocks", "stages")}
+
+        top = {f.name for f in fields(Plan)}
         check_keys(doc, top, top, "plan")
         if not isinstance(doc["stages"], list):
             raise ParseError("plan stages must be an array")
-        stage_keys = {"blocks", "devices", "replicas", "t_fwd", "t_bwd", "mem"}
+        stage_keys = {f.name for f in fields(StagePlan)}
         stages = []
         for i, st in enumerate(doc["stages"]):
             check_keys(st, stage_keys, stage_keys, f"plan stage {i}")
             if not isinstance(st["blocks"], list) or len(st["blocks"]) != 2:
                 raise ParseError("plan stage blocks must be a [from, to) pair")
-            stages.append(StagePlan(
-                blocks=(parse_amount(st["blocks"][0], "plan stage blocks", whole=True),
-                        parse_amount(st["blocks"][1], "plan stage blocks", whole=True)),
-                devices=parse_amount(st["devices"], "plan stage devices", whole=True),
-                replicas=parse_amount(st["replicas"], "plan stage replicas", whole=True),
-                t_fwd=parse_amount(st["t_fwd"], "plan stage t_fwd"),
-                t_bwd=parse_amount(st["t_bwd"], "plan stage t_bwd"),
-                mem=parse_amount(st["mem"], "plan stage mem", whole=True),
-            ))
-        return Plan(
-            stages=tuple(stages),
-            microbatches=parse_amount(doc["microbatches"], "plan microbatches", whole=True),
-            replica_factor=parse_amount(doc["replica_factor"], "plan replica_factor", whole=True),
-            objective=parse_amount(doc["objective"], "plan objective"),
-            batch_size=parse_amount(doc["batch_size"], "plan batch_size", whole=True),
-            devices_total=parse_amount(doc["devices_total"], "plan devices_total", whole=True),
-        )
+            blocks = tuple(parse_amount(b, "plan stage blocks", whole=True)
+                           for b in st["blocks"])
+            stages.append(StagePlan(blocks=blocks, **amounts(st, StagePlan, "plan stage")))
+        return Plan(stages=tuple(stages), **amounts(doc, Plan, "plan"))
 
 
 @dataclass
@@ -200,14 +177,11 @@ def _stage_costs(blocks: BlockSet, spans, batch_size: int, MB: int, R: int):
 
 def _assemble(blocks: BlockSet, spans, batch_size: int, MB: int, R: int,
               objective: float) -> Plan:
-    ckpt = _ckpt(blocks, len(spans))
-    stages = []
-    for lo, hi, dev in spans:
-        rec = blocks.profile(lo, hi, _share(batch_size, MB, R, dev), ckpt)
-        stages.append(StagePlan(blocks=(lo, hi), devices=dev, replicas=dev * R,
-                                t_fwd=rec.t_fwd_sec, t_bwd=rec.t_bwd_sec,
-                                mem=rec.mem_bytes))
-    return Plan(stages=tuple(stages), microbatches=MB, replica_factor=R,
+    costs = _stage_costs(blocks, spans, batch_size, MB, R)
+    stages = tuple(StagePlan(blocks=(lo, hi), devices=dev, replicas=dev * R,
+                             t_fwd=rec.t_fwd_sec, t_bwd=rec.t_bwd_sec, mem=rec.mem_bytes)
+                   for (lo, hi, dev), (rec, _, _) in zip(spans, costs))
+    return Plan(stages=stages, microbatches=MB, replica_factor=R,
                 objective=objective, batch_size=batch_size,
                 devices_total=sum(dev for _, _, dev in spans))
 
