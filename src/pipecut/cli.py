@@ -1,8 +1,9 @@
 """Command line front end: generate, partition, simulate, sweep.
 
-Every long flag can also come from the environment as PIPECUT_<FLAG> with
-dashes turned into underscores (command line wins). Exit codes: 0 success,
-1 bad input, 2 no feasible assignment.
+Every long flag except the model sizes of generate and sweep (--hidden,
+--layers, --seq, --vocab, --width) can also come from the environment as
+PIPECUT_<FLAG> with dashes turned into underscores (command line wins).
+Exit codes: 0 success, 1 bad input, 2 no feasible assignment.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ from .stages import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
+# the flags that take one of a few words; argparse checks a command-line
+# value against its choices, but not a default from the environment
+CHOICES = {"checkpointing": ("on", "off"), "gantt": ("text", "svg")}
 
 
 def _env(name: str, fallback: str | None = None) -> str | None:
@@ -70,7 +74,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     # environment value is an input error rather than a traceback
     p.add_argument("--k", type=int, default=_env("K", "32"))
     p.add_argument("--batch-size", type=int, default=_env("BATCH_SIZE", "32"))
-    p.add_argument("--checkpointing", choices=["on", "off"],
+    p.add_argument("--checkpointing", choices=CHOICES["checkpointing"],
                    default=_env("CHECKPOINTING", "on"))
     p.add_argument("--out", default=_env("OUT", "."))
 
@@ -102,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="replay a saved plan")
     _add_common(s)
     s.add_argument("--plan", default=_env("PLAN"))
-    s.add_argument("--gantt", choices=["text", "svg"], default=_env("GANTT"))
+    s.add_argument("--gantt", choices=CHOICES["gantt"], default=_env("GANTT"))
     s.set_defaults(func=cmd_simulate)
 
     w = sub.add_parser("sweep", help="plan and simulate a model size grid")
@@ -292,6 +296,12 @@ def cmd_sweep(args) -> int:
     layer_counts = _int_list(args.layers, "--layers")
     cluster = load_cluster(args.cluster)
     model_cfg = _cost_config(args)
+    # a path not ending in .csv is a directory; either way the directory
+    # that holds the CSV is made before planning, as partition makes --out
+    out_path = args.out or "."
+    if os.path.isdir(out_path) or not out_path.endswith(".csv"):
+        out_path = os.path.join(out_path, "sweep.csv")
+    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
 
     rows = []
     any_ok = False
@@ -330,11 +340,6 @@ def cmd_sweep(args) -> int:
                 any_ok = True
             rows.append(row)
 
-    # a path not ending in .csv is a directory, created as partition does
-    out_path = args.out or "."
-    if os.path.isdir(out_path) or not out_path.endswith(".csv"):
-        os.makedirs(out_path, exist_ok=True)
-        out_path = os.path.join(out_path, "sweep.csv")
     with open(out_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS,
                                 lineterminator="\n")
@@ -351,6 +356,10 @@ def main(argv=None) -> int:
         for name in ("k", "batch_size", "seq", "vocab"):
             if getattr(args, name, 1) < 1:
                 raise InvalidArgs(f"--{name.replace('_', '-')} must be at least 1")
+        for name, choices in CHOICES.items():
+            if getattr(args, name, None) not in (None, *choices):
+                raise InvalidArgs(f"PIPECUT_{name.upper()} must be one of "
+                                  f"{', '.join(choices)}, got {getattr(args, name)!r}")
         return args.func(args)
     except (InfeasibleAtom, CompactionStuck) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -1,0 +1,68 @@
+"""Input faults that no planning can cure are reported before planning:
+an environment value outside a choice flag's choices, and (by creating
+it) a missing directory for the sweep's CSV."""
+
+import pytest
+
+from pipecut.cli import main
+from pipecut.generators import gen_bert_like
+from pipecut.graph import save_graph
+
+from test_cli import write_cluster
+
+SWEEP = ["--hidden", "64", "--layers", "2", "--seq", "16", "--vocab", "100"]
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    graph = tmp_path / "g.json"
+    save_graph(gen_bert_like(64, 2, 16, 100), str(graph))
+    return ["--graph", str(graph), "--cluster", write_cluster(tmp_path / "c.json"),
+            "--batch-size", "8"]
+
+
+class TestEnvironmentChoices:
+    def test_bad_checkpointing_stops_partition(self, inputs, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PIPECUT_CHECKPOINTING", "bogus")
+        out = tmp_path / "out"
+        assert main(["partition", *inputs, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: PIPECUT_CHECKPOINTING must be one of on, off, "
+                                "got 'bogus'\n")
+        assert not out.exists()
+
+    def test_bad_gantt_stops_simulate(self, inputs, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert main(["partition", *inputs, "--out", str(out)]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("PIPECUT_GANTT", "bogus")
+        assert main(["simulate", *inputs, "--plan", str(out / "plan.json"),
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: PIPECUT_GANTT must be one of text, svg, got 'bogus'\n"
+
+    def test_good_values_and_command_line_still_win(self, inputs, tmp_path, monkeypatch):
+        monkeypatch.setenv("PIPECUT_CHECKPOINTING", "off")
+        monkeypatch.setenv("PIPECUT_GANTT", "bogus")
+        out = tmp_path / "out"
+        assert main(["partition", *inputs, "--out", str(out)]) == 0
+        assert "checkpointing: off" in (out / "report.txt").read_text()
+        assert main(["simulate", *inputs, "--plan", str(out / "plan.json"),
+                     "--gantt", "text", "--out", str(out)]) == 0
+        assert (out / "gantt.txt").exists()
+
+    def test_generate_ignores_the_planning_variables(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PIPECUT_CHECKPOINTING", "bogus")
+        monkeypatch.setenv("PIPECUT_GANTT", "bogus")
+        assert main(["generate", "bert", "--hidden", "64", "--layers", "2", "--seq", "16",
+                     "--vocab", "100", "--out", str(tmp_path / "g.json")]) == 0
+
+
+class TestSweepOutDirectory:
+    def test_missing_directory_of_a_csv_path_is_created(self, tmp_path):
+        path = tmp_path / "missing" / "deeper" / "x.csv"
+        assert main(["sweep", "--cluster", write_cluster(tmp_path / "c.json"), *SWEEP,
+                     "--batch-size", "8", "--out", str(path)]) == 0
+        assert path.read_text().startswith("hidden,layers,")
