@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import graphlib
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -525,10 +526,12 @@ class BlockSet:
         self._cut_fixed = [0] * (n + 1)
         self._cut_per_sample = [0] * (n + 1)
         self._span_cache: dict[tuple[int, int], Subcomponent] = {}
-        # per lo: (first reader block at or after lo, fixed, per sample) of
-        # each value that a span starting at lo reads as an input
-        self._input_reads: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        block_of = {a: bi for bi, grp in enumerate(self.block_atoms) for a in grp}
+        # input bytes of span [lo, hi), fixed and per sample, indexed
+        # [lo][hi]: each value a span starting at lo reads as an input is
+        # added where its first reader at or after lo ends, then summed over hi
+        self._in_fixed = [[0] * (n + 1) for _ in range(n)]
+        self._in_per_sample = [[0] * (n + 1) for _ in range(n)]
+        block_of = _group_index(self.block_atoms, len(self.partition.atoms))
         g = self.partition.graph
         for vid in g.value_ids():
             owner = block_of[self.partition.owner_of_value(vid)]
@@ -545,10 +548,11 @@ class BlockSet:
             for lo in range(first, last + 1 if readers else 0):
                 while readers[i] < lo:
                     i += 1
-                self._input_reads[lo].append(
-                    (readers[i], info.fixed_bytes, info.bytes_per_sample))
+                self._in_fixed[lo][readers[i] + 1] += info.fixed_bytes
+                self._in_per_sample[lo][readers[i] + 1] += info.bytes_per_sample
+        for row in (*self._in_fixed, *self._in_per_sample):
+            row[:] = itertools.accumulate(row)
 
-        self._input_rows: dict[int, tuple[list[int], list[int]]] = {}
         self._terms: dict[int, _SpanTerms] = {}  # by microbatch size
         self._profiles: dict[tuple[int, int, int, bool], CostRecord] = {}
         self._params = [0]
@@ -591,22 +595,6 @@ class BlockSet:
         self._check_span(lo, hi)
         return self._params[hi] - self._params[lo]
 
-    def _input_row(self, lo: int) -> tuple[list[int], list[int]]:
-        """Input bytes of span [lo, hi) as (fixed, per sample), indexed by hi."""
-        row = self._input_rows.get(lo)
-        if row is None:
-            n = len(self.blocks)
-            fixed = [0] * (n + 1)
-            per_sample = [0] * (n + 1)
-            for reader, f, s in self._input_reads[lo]:
-                fixed[reader + 1] += f
-                per_sample[reader + 1] += s
-            for hi in range(lo + 1, n + 1):
-                fixed[hi] += fixed[hi - 1]
-                per_sample[hi] += per_sample[hi - 1]
-            row = self._input_rows[lo] = (fixed, per_sample)
-        return row
-
     def profile(self, lo: int, hi: int, microbatch: int, ckpt: bool) -> CostRecord:
         """Profile of blocks [lo, hi): `CostModel.profile` of `span(lo, hi)`,
         composed from per-block terms built once per microbatch size and
@@ -619,8 +607,7 @@ class BlockSet:
         terms = self._terms.get(microbatch)
         if terms is None:
             terms = self._terms[microbatch] = _SpanTerms(self, microbatch)
-        fixed, per_sample = self._input_row(lo)
-        acts = fixed[hi] + microbatch * per_sample[hi]
+        acts = self._in_fixed[lo][hi] + microbatch * self._in_per_sample[lo][hi]
         if ckpt:
             acts += terms.peak_row(lo)[hi]
         else:

@@ -67,7 +67,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--graph", default=_env("GRAPH"))
     p.add_argument("--cluster", default=_env("CLUSTER"))
     p.add_argument("--cost-table", default=_env("COST_TABLE"))
     # string defaults go through `type` like a typed flag, so a bad
@@ -95,7 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", default=_env("OUT", "graph.json"))
     g.set_defaults(func=cmd_generate)
 
+    # only partition and simulate read --graph; sweep generates its graphs
     p = sub.add_parser("partition", help="plan stages for a graph on a cluster")
+    p.add_argument("--graph", default=_env("GRAPH"))
     _add_common(p)
     p.add_argument("--disable-pruning", action="store_true",
                    default=_env_flag("DISABLE_PRUNING"))
@@ -104,6 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_partition)
 
     s = sub.add_parser("simulate", help="replay a saved plan")
+    s.add_argument("--graph", default=_env("GRAPH"))
     _add_common(s)
     s.add_argument("--plan", default=_env("PLAN"))
     s.add_argument("--gantt", choices=CHOICES["gantt"], default=_env("GANTT"))

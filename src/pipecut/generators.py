@@ -39,6 +39,16 @@ class _Builder:
         self.edges.append((tid, vid))
         return vid
 
+    def op(self, tid: str, kind: str, inputs: list[str], *, flops: float, out: int,
+           weights: int = 0, attrs: dict | None = None) -> str:
+        """One fused op: its parameter `{tid}.w` of `weights` floats, if any,
+        added first and read last; the task; and its output `{tid}.out` of
+        `out` floats per sample, whose id is returned."""
+        if weights:
+            inputs = [*inputs, self.param(f"{tid}.w", weights)]
+        self.task(tid, kind, inputs, flops, attrs)
+        return self.out(tid, f"{tid}.out", per_sample=out * FLOAT_BYTES)
+
     def build(self, inputs: list[str], outputs: list[str]) -> TaskGraph:
         return TaskGraph(self.nodes, self.edges, inputs, outputs)
 
@@ -65,45 +75,27 @@ def gen_bert_like(hidden: int, layers: int, seq_len: int, vocab: int) -> TaskGra
 
     for i in range(layers):
         p = f"L{i:03d}"
-        w = b.param(f"{p}.attn_qkv.w", 3 * h * h + 3 * h)
-        t = b.task(f"{p}.attn_qkv", "matmul", [x, w], flops=6.0 * s * h * h)
-        qkv = b.out(t, f"{p}.attn_qkv.out", per_sample=3 * s * h * FLOAT_BYTES)
+        qkv = b.op(f"{p}.attn_qkv", "matmul", [x], flops=6.0 * s * h * h,
+                   out=3 * s * h, weights=3 * h * h + 3 * h)
+        scores = b.op(f"{p}.attn_scores", "matmul", [qkv], flops=2.0 * s * s * h,
+                      out=s * s * heads)
+        probs = b.op(f"{p}.attn_softmax", "softmax", [scores], flops=5.0 * s * s * heads,
+                     out=s * s * heads)
+        ctx = b.op(f"{p}.attn_context", "matmul", [probs, qkv], flops=2.0 * s * s * h, out=s * h)
+        proj = b.op(f"{p}.attn_proj", "matmul", [ctx], flops=2.0 * s * h * h,
+                    out=s * h, weights=h * h + h)
+        attn = b.op(f"{p}.attn_norm", "add_layernorm", [proj, x], flops=10.0 * s * h,
+                    out=s * h, weights=2 * h)
+        mid = b.op(f"{p}.mlp_in", "matmul", [attn], flops=8.0 * s * h * h,
+                   out=4 * s * h, weights=4 * h * h + 4 * h)
+        act = b.op(f"{p}.mlp_gelu", "gelu", [mid], flops=32.0 * s * h, out=4 * s * h)
+        down = b.op(f"{p}.mlp_out", "matmul", [act], flops=8.0 * s * h * h,
+                    out=s * h, weights=4 * h * h + h)
+        x = b.op(f"{p}.mlp_norm", "add_layernorm", [down, attn], flops=10.0 * s * h,
+                 out=s * h, weights=2 * h)
 
-        t = b.task(f"{p}.attn_scores", "matmul", [qkv], flops=2.0 * s * s * h)
-        scores = b.out(t, f"{p}.attn_scores.out", per_sample=s * s * heads * FLOAT_BYTES)
-
-        t = b.task(f"{p}.attn_softmax", "softmax", [scores], flops=5.0 * s * s * heads)
-        probs = b.out(t, f"{p}.attn_softmax.out", per_sample=s * s * heads * FLOAT_BYTES)
-
-        t = b.task(f"{p}.attn_context", "matmul", [probs, qkv], flops=2.0 * s * s * h)
-        ctx = b.out(t, f"{p}.attn_context.out", per_sample=s * h * FLOAT_BYTES)
-
-        w = b.param(f"{p}.attn_proj.w", h * h + h)
-        t = b.task(f"{p}.attn_proj", "matmul", [ctx, w], flops=2.0 * s * h * h)
-        proj = b.out(t, f"{p}.attn_proj.out", per_sample=s * h * FLOAT_BYTES)
-
-        w = b.param(f"{p}.attn_norm.w", 2 * h)
-        t = b.task(f"{p}.attn_norm", "add_layernorm", [proj, x, w], flops=10.0 * s * h)
-        attn = b.out(t, f"{p}.attn_norm.out", per_sample=s * h * FLOAT_BYTES)
-
-        w = b.param(f"{p}.mlp_in.w", 4 * h * h + 4 * h)
-        t = b.task(f"{p}.mlp_in", "matmul", [attn, w], flops=8.0 * s * h * h)
-        mid = b.out(t, f"{p}.mlp_in.out", per_sample=4 * s * h * FLOAT_BYTES)
-
-        t = b.task(f"{p}.mlp_gelu", "gelu", [mid], flops=32.0 * s * h)
-        act = b.out(t, f"{p}.mlp_gelu.out", per_sample=4 * s * h * FLOAT_BYTES)
-
-        w = b.param(f"{p}.mlp_out.w", 4 * h * h + h)
-        t = b.task(f"{p}.mlp_out", "matmul", [act, w], flops=8.0 * s * h * h)
-        down = b.out(t, f"{p}.mlp_out.out", per_sample=s * h * FLOAT_BYTES)
-
-        w = b.param(f"{p}.mlp_norm.w", 2 * h)
-        t = b.task(f"{p}.mlp_norm", "add_layernorm", [down, attn, w], flops=10.0 * s * h)
-        x = b.out(t, f"{p}.mlp_norm.out", per_sample=s * h * FLOAT_BYTES)
-
-    w = b.param("head.transform.w", h * h + 3 * h)
-    t = b.task("head.transform", "matmul", [x, w], flops=2.0 * s * h * h + 10.0 * s * h)
-    x = b.out(t, "head.transform.out", per_sample=s * h * FLOAT_BYTES)
+    x = b.op("head.transform", "matmul", [x], flops=2.0 * s * h * h + 10.0 * s * h,
+             out=s * h, weights=h * h + 3 * h)
 
     # tied decoder: transpose of the embedding table, recomputable constant
     t = b.task("head.transpose", "transpose", [emb_table])
@@ -134,16 +126,13 @@ def gen_resnet_like(layers: int, width_factor: int = 1) -> TaskGraph:
     b = _Builder()
 
     def conv(tid: str, x: str, cin: int, cout: int, k: int, spatial: int) -> str:
-        wid = b.param(f"{tid}.w", k * k * cin * cout + 2 * cout)
-        t = b.task(tid, "conv", [x, wid],
-                   flops=2.0 * k * k * cin * cout * spatial * spatial,
-                   attrs={"k": k, "cin": cin, "cout": cout, "spatial": spatial})
-        return b.out(t, f"{tid}.out", per_sample=cout * spatial * spatial * FLOAT_BYTES)
+        return b.op(tid, "conv", [x], flops=2.0 * k * k * cin * cout * spatial * spatial,
+                    out=cout * spatial * spatial, weights=k * k * cin * cout + 2 * cout,
+                    attrs={"k": k, "cin": cin, "cout": cout, "spatial": spatial})
 
     image = b.value("image", per_sample=3 * _IMAGE_SIZE * _IMAGE_SIZE * FLOAT_BYTES)
     x = conv("stem.conv", image, 3, 64 * w, 7, _IMAGE_SIZE // 2)
-    t = b.task("stem.pool", "maxpool", [x], flops=9.0 * 64 * w * 56 * 56)
-    x = b.out(t, "stem.pool.out", per_sample=64 * w * 56 * 56 * FLOAT_BYTES)
+    x = b.op("stem.pool", "maxpool", [x], flops=9.0 * 64 * w * 56 * 56, out=64 * w * 56 * 56)
 
     in_c = 64 * w
     for stage, blocks in enumerate(_RESNET_BLOCKS[layers]):
@@ -159,15 +148,12 @@ def gen_resnet_like(layers: int, width_factor: int = 1) -> TaskGraph:
             y = conv(f"{p}.conv3", y, mid, out_c, 1, spatial)
             if stride != 1 or in_c != out_c:
                 identity = conv(f"{p}.downsample", x, in_c, out_c, 1, spatial)
-            t = b.task(f"{p}.add", "add_relu", [y, identity],
-                       flops=float(out_c * spatial * spatial))
-            x = b.out(t, f"{p}.add.out", per_sample=out_c * spatial * spatial * FLOAT_BYTES)
+            x = b.op(f"{p}.add", "add_relu", [y, identity],
+                     flops=float(out_c * spatial * spatial), out=out_c * spatial * spatial)
             in_c = out_c
 
-    t = b.task("head.pool", "avgpool", [x], flops=2.0 * in_c * 7 * 7)
-    x = b.out(t, "head.pool.out", per_sample=in_c * FLOAT_BYTES)
-    wid = b.param("head.fc.w", in_c * 1000 + 1000)
-    t = b.task("head.fc", "linear", [x, wid], flops=2.0 * in_c * 1000)
-    logits = b.out(t, "head.fc.out", per_sample=1000 * FLOAT_BYTES)
+    x = b.op("head.pool", "avgpool", [x], flops=2.0 * in_c * 7 * 7, out=in_c)
+    logits = b.op("head.fc", "linear", [x], flops=2.0 * in_c * 1000, out=1000,
+                  weights=in_c * 1000 + 1000)
 
     return b.build([image], [logits])

@@ -350,8 +350,6 @@ def graph_from_json(doc: Mapping[str, Any]) -> TaskGraph:
             raise ParseError(f"graph: {key} must be an array of value ids")
     try:
         g = TaskGraph(nodes, raw_edges, ends["inputs"], ends["outputs"])
-    except ValidationError:
-        raise
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     violations = validate_graph(g)

@@ -241,13 +241,11 @@ def _run_pass(blocks: BlockSet, S_lo: int, S_hi: int, D: int, batch_size: int,
     # collapsing to one pair per cell loses exactness against enumeration.
     prev: dict[tuple[int, int], list[_Entry]] = {(0, 0): [(0.0, 0.0, -1, -1, -1)]}
     levels: list[dict[tuple[int, int], list[_Entry]]] = [prev]
-    d_min = 1
     for s in range(1, S_hi + 1):
-        if s > 1:
-            # the carried floor only speaks about single-stage prefixes;
-            # a finer multi-stage split of the same prefix can fit where
-            # the one-stage form did not, so later rows start fresh
-            d_min = 1
+        # the carried floor only speaks about single-stage prefixes; a finer
+        # multi-stage split of the same prefix can fit where the one-stage
+        # form did not, so each row starts fresh
+        d_min = 1
         # a cell on any S-stage path, S >= S_lo, leaves a block and a device
         # to each later stage, so it lies inside; its predecessors are the
         # ones a pass for S alone scans
@@ -426,13 +424,11 @@ def validate_plan(plan: Plan, blocks: BlockSet) -> list[Violation]:
     """Recheck a plan from scratch; empty list iff it is sound."""
     out: list[Violation] = []
     nb = len(blocks)
-    S = len(plan.stages)
-    if S == 0:
+    if not plan.stages:
         return [Violation("empty-plan", (), "plan has no stages")]
     if plan.microbatches < 1 or plan.replica_factor < 1 or plan.batch_size < 1:
-        out.append(Violation("counts", (), "microbatches, replica factor and "
-                                           "batch size must be at least 1"))
-        return out
+        return [Violation("counts", (), "microbatches, replica factor and batch "
+                                        "size must be at least 1")]
 
     expected = 0
     for i, st in enumerate(plan.stages):
