@@ -18,7 +18,8 @@ by the working-set rule (`_peak`) that spans use too; it equals
 A candidate move is scored by its traffic gain over only the values the
 mover's atoms own or read, the Fiduccia-Mattheyses gain (1982), which equals
 the difference of two whole-graph recounts. `BlockSet` holds the span
-profiles and cut times that stage search, plan checking and replay share.
+profiles and boundary bytes that stage search, plan checking and replay
+share; `stages` turns boundary bytes into send times.
 
 `BlockSet.profile` composes a span's `CostRecord` from per-block terms in
 constant time instead of walking the span's nodes, the way PipeDream's
@@ -53,7 +54,6 @@ class InfeasibleAtom(Exception):
         super().__init__(
             f"atom {atom_id} needs {mem_bytes} bytes at microbatch 1 with "
             f"checkpointing; a device holds {budget_bytes}")
-        self.atom_id = atom_id
         self.mem_bytes = mem_bytes
         self.budget_bytes = budget_bytes
 
@@ -618,19 +618,6 @@ class BlockSet:
             mem_bytes=self.model.training_bytes(
                 self._params[hi] - self._params[lo], acts))
         return rec
-
-    def cut_time(self, cut: int, microbatch: int, cum_devices: int) -> float:
-        """Transfer time of the boundary at `cut` for one microbatch slice.
-
-        The cut sits between cumulative device cum_devices and the next one;
-        with contiguous placement it crosses nodes exactly when that count is
-        a whole number of nodes.
-        """
-        cluster = self.model.cluster
-        inter = (cluster.num_nodes > 1
-                 and cum_devices % cluster.devices_per_node == 0)
-        return self.model.comm_time(self.boundary_bytes(cut, microbatch),
-                                    inter_node=inter)
 
     def to_json(self) -> dict:
         return {

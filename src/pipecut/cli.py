@@ -130,6 +130,12 @@ def _require(args, *names: str) -> None:
         raise ParseError(f"missing required argument(s): {flags}")
 
 
+def _check_out_dir(path: str) -> None:
+    """Fail before any work on an --out that is a file; make no directory."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise ParseError(f"--out {path} exists and is not a directory")
+
+
 def _cost_config(args) -> CostModelConfig:
     table = load_cost_table(args.cost_table) if args.cost_table else None
     return CostModelConfig(checkpointing=args.checkpointing == "on",
@@ -178,6 +184,7 @@ def _stage_table(plan: Plan) -> str:
 
 def cmd_partition(args) -> int:
     _require(args, "graph", "cluster")
+    _check_out_dir(args.out)
     cluster, blocks = _load_blocks(args)
     opts = SearchOptions(disable_pruning=args.disable_pruning)
     result = form_stage(cluster.num_nodes, cluster.devices_per_node,
@@ -242,6 +249,8 @@ def cmd_partition(args) -> int:
 
 def cmd_simulate(args) -> int:
     _require(args, "graph", "cluster", "plan")
+    if args.gantt:
+        _check_out_dir(args.out)
     plan = Plan.from_json(read_json(args.plan))
     if plan.batch_size != args.batch_size:
         raise ParseError(f"plan batch_size {plan.batch_size} does not match "
@@ -367,16 +376,13 @@ def main(argv=None) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ParseError, ValidationError, CycleError, NoNonConstantTask,
-            DanglingOutput, InvalidPlan, InvalidArgs) as exc:
+            DanglingOutput, InvalidPlan, InvalidArgs, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OverflowError as exc:
         # task times that sum past the float range, from a graph or cost
         # table whose numbers are each finite
         print(f"error: input numbers out of range: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

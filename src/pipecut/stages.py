@@ -17,10 +17,10 @@ brute-force enumerator cross-checks.
 `stage_cost` is the one rule that charges a stage: its span's profile,
 composed from per-block terms (`BlockSet.profile`), at the per-device
 microbatch share, plus the forward send across its upper cut and the
-backward send across its lower cut (`BlockSet.cut_time`); the stage fits
-when `CostModel.fits` accepts the profile's memory. The dynamic program,
-the brute-force enumerator that cross-checks it, `validate_plan` and
-`replay` all charge stages this way.
+backward send across its lower cut (`_send`, from `BlockSet.boundary_bytes`);
+the stage fits when `CostModel.fits` accepts the profile's memory. The
+dynamic program, the brute-force enumerator that cross-checks it,
+`validate_plan` and `replay` all charge stages this way.
 
 Memory assumption: a stage is charged one microbatch slice's activations.
 Fill-drain keeps the inputs (checkpointing on) or all activations
@@ -150,14 +150,24 @@ def _ckpt(blocks: BlockSet, S: int) -> bool:
     return blocks.model.config.checkpointing and S > 1
 
 
+def _send(blocks: BlockSet, cut: int, m: int, cum_devices: int) -> float:
+    """Transfer time of the boundary at `cut` for one microbatch slice of m
+    samples per device. The cut sits after cumulative device cum_devices;
+    with contiguous placement it crosses nodes exactly when that count is a
+    whole number of nodes."""
+    cluster = blocks.model.cluster
+    inter = cluster.num_nodes > 1 and cum_devices % cluster.devices_per_node == 0
+    return blocks.model.comm_time(blocks.boundary_bytes(cut, m), inter_node=inter)
+
+
 def stage_cost(blocks: BlockSet, lo: int, hi: int, d0: int, d1: int, m: int,
                ckpt: bool) -> tuple[CostRecord, float, float]:
     """Charge of blocks [lo, hi) on the devices after cumulative count d0 up
     to d1, at m samples per device: the span's profile, its forward send
     across `hi` and its backward send across `lo` (0.0 at the graph ends)."""
     rec = blocks.profile(lo, hi, m, ckpt)
-    fwd = blocks.cut_time(hi, m, d1) if hi < len(blocks) else 0.0
-    bwd = blocks.cut_time(lo, m, d0) if lo > 0 else 0.0
+    fwd = _send(blocks, hi, m, d1) if hi < len(blocks) else 0.0
+    bwd = _send(blocks, lo, m, d0) if lo > 0 else 0.0
     return rec, fwd, bwd
 
 
@@ -198,19 +208,19 @@ def _check_args(blocks: BlockSet, S: int, D: int, batch_size: int,
 
 
 # frontier entry: (max fwd time so far, max bwd time so far,
-#                  predecessor block cut, predecessor device count, entry index)
-_Entry = tuple[float, float, int, int, int]
+#                  predecessor block cut, predecessor device count,
+#                  predecessor entry, None at the empty prefix)
+_Entry = tuple[float, float, int, int, "_Entry | None"]
 
 
 def _pareto(cands: list[_Entry]) -> list[_Entry]:
     """Non-dominated (tf, tb) pairs, tf ascending; first entry wins ties."""
-    order = sorted(range(len(cands)), key=lambda i: (cands[i][0], cands[i][1], i))
     out: list[_Entry] = []
     best_tb = math.inf
-    for i in order:
-        if cands[i][1] < best_tb:
-            out.append(cands[i])
-            best_tb = cands[i][1]
+    for entry in sorted(cands, key=lambda e: (e[0], e[1])):
+        if entry[1] < best_tb:
+            out.append(entry)
+            best_tb = entry[1]
     return out
 
 
@@ -239,8 +249,8 @@ def _run_pass(blocks: BlockSet, S_lo: int, S_hi: int, D: int, batch_size: int,
     # pair instead of a single value: a prefix with the larger forward
     # bottleneck can still win once a later stage raises it anyway, so
     # collapsing to one pair per cell loses exactness against enumeration.
-    prev: dict[tuple[int, int], list[_Entry]] = {(0, 0): [(0.0, 0.0, -1, -1, -1)]}
-    levels: list[dict[tuple[int, int], list[_Entry]]] = [prev]
+    prev: dict[tuple[int, int], list[_Entry]] = {(0, 0): [(0.0, 0.0, -1, -1, None)]}
+    plans: dict[int, Plan] = {}
     for s in range(1, S_hi + 1):
         # the carried floor only speaks about single-stage prefixes; a finer
         # multi-stage split of the same prefix can fit where the one-stage
@@ -273,8 +283,8 @@ def _run_pass(blocks: BlockSet, S_lo: int, S_hi: int, D: int, batch_size: int,
                         continue
                     tf = rec.t_fwd_sec + fwd
                     tb = rec.t_bwd_sec + bwd
-                    for idx, (ptf, ptb, _, _, _) in enumerate(entries):
-                        cands.append((max(ptf, tf), max(ptb, tb), bp, dp, idx))
+                    for entry in entries:
+                        cands.append((max(entry[0], tf), max(entry[1], tb), bp, dp, entry))
                 if cands:
                     cur[(b, d)] = _pareto(cands)
                 elif not opts.disable_pruning and not saw_zero_share:
@@ -285,28 +295,16 @@ def _run_pass(blocks: BlockSet, S_lo: int, S_hi: int, D: int, batch_size: int,
                     if s == 1:
                         d_min = d + 1
                     break
-        levels.append(cur)
+        if (nb, D) in cur:  # rows below S_lo stop short of it
+            best = min(cur[(nb, D)], key=lambda e: e[0] + e[1])
+            spans = []
+            hi, d1, entry = nb, D, best
+            while entry[4] is not None:
+                _, _, lo, d0, entry = entry
+                spans.append((lo, hi, d1 - d0))
+                hi, d1 = lo, d0
+            plans[s] = _assemble(blocks, spans[::-1], batch_size, MB, R, best[0] + best[1])
         prev = cur
-
-    plans: dict[int, Plan] = {}
-    for S in range(S_lo, S_hi + 1):
-        final = levels[S].get((nb, D))
-        if final is None:
-            continue
-        best = final[0]
-        for entry in final[1:]:
-            if entry[0] + entry[1] < best[0] + best[1]:
-                best = entry
-        spans = []
-        s, b, d, entry = S, nb, D, best
-        while s > 0:
-            bp, dp, pidx = entry[2], entry[3], entry[4]
-            spans.append((bp, b, d - dp))
-            if s > 1:
-                entry = levels[s - 1][(bp, dp)][pidx]
-            s, b, d = s - 1, bp, dp
-        spans.reverse()
-        plans[S] = _assemble(blocks, spans, batch_size, MB, R, best[0] + best[1])
     return plans
 
 
@@ -322,8 +320,7 @@ def form_stage_dp(blocks: BlockSet, S: int, D: int, batch_size: int,
 
 
 def brute_force_partition(blocks: BlockSet, S: int, D: int, batch_size: int,
-                          replica_factor: int, microbatches: int,
-                          options: SearchOptions | None = None) -> SearchResult:
+                          replica_factor: int, microbatches: int) -> SearchResult:
     """Exhaustive reference search; same candidate rules as the DP."""
     _check_args(blocks, S, D, batch_size, replica_factor, microbatches)
     nb = len(blocks)

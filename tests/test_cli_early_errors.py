@@ -1,9 +1,10 @@
 """Input faults that no planning can cure are reported before planning:
-an environment value outside a choice flag's choices, and (by creating
-it) a missing directory for the sweep's CSV."""
+an environment value outside a choice flag's choices, an --out that is a
+file, and (by creating it) a missing directory for the sweep's CSV."""
 
 import pytest
 
+from pipecut import cli
 from pipecut.cli import main
 from pipecut.generators import gen_bert_like
 from pipecut.graph import save_graph
@@ -66,3 +67,38 @@ class TestSweepOutDirectory:
         assert main(["sweep", "--cluster", write_cluster(tmp_path / "c.json"), *SWEEP,
                      "--batch-size", "8", "--out", str(path)]) == 0
         assert path.read_text().startswith("hidden,layers,")
+
+
+class TestOutIsAFile:
+    def test_partition_stops_before_loading(self, inputs, tmp_path, capsys, monkeypatch):
+        out_file = tmp_path / "F"
+        out_file.write_text("keep")
+        monkeypatch.setattr(cli, "_load_blocks", lambda args: pytest.fail("inputs loaded"))
+        assert main(["partition", *inputs, "--out", str(out_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out {out_file} exists and is not a directory\n"
+        assert out_file.read_text() == "keep"
+
+    def test_simulate_with_gantt_stops_before_replay(self, inputs, tmp_path, capsys):
+        plan = tmp_path / "run" / "plan.json"
+        assert main(["partition", *inputs, "--out", str(plan.parent)]) == 0
+        out_file = tmp_path / "F"
+        out_file.write_text("keep")
+        capsys.readouterr()
+        argv = ["simulate", *inputs, "--plan", str(plan), "--out", str(out_file)]
+        assert main([*argv, "--gantt", "text"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out {out_file} exists and is not a directory\n"
+        # without --gantt, simulate writes nothing, so --out is not read
+        assert main(argv) == 0
+        assert out_file.read_text() == "keep"
+
+    def test_infeasible_partition_leaves_no_directory(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        save_graph(gen_bert_like(64, 2, 16, 100), str(graph))
+        out = tmp_path / "out"
+        assert main(["partition", "--graph", str(graph), "--out", str(out), "--cluster",
+                     write_cluster(tmp_path / "c.json", mem=1000)]) == 2
+        assert not out.exists()
