@@ -95,15 +95,18 @@ class TaskGraph:
             if n.id in self.nodes:
                 raise ValueError(f"duplicate node id {n.id!r}")
             self.nodes[n.id] = n
-        edge_list = [(src, dst) for src, dst in edges]
+        self.edges: tuple[tuple[str, str], ...] = tuple((src, dst) for src, dst in edges)
         seen: set[tuple[str, str]] = set()
-        for src, dst in edge_list:
+        succ: dict[str, list[str]] = {nid: [] for nid in self.nodes}
+        pred: dict[str, list[str]] = {nid: [] for nid in self.nodes}
+        for src, dst in self.edges:
             if src not in self.nodes or dst not in self.nodes:
                 raise ValueError(f"edge ({src!r}, {dst!r}) references an unknown node")
             if (src, dst) in seen:
                 raise ValueError(f"duplicate edge ({src!r}, {dst!r})")
             seen.add((src, dst))
-        self.edges: tuple[tuple[str, str], ...] = tuple(edge_list)
+            succ[src].append(dst)
+            pred[dst].append(src)
         self.inputs = frozenset(inputs)
         self.outputs = frozenset(outputs)
         for vid in sorted(self.inputs | self.outputs):
@@ -111,11 +114,6 @@ class TaskGraph:
                 raise ValueError(f"declared input/output {vid!r} is not a node")
             if not self.nodes[vid].is_value:
                 raise ValueError(f"declared input/output {vid!r} is not a value node")
-        succ: dict[str, list[str]] = {nid: [] for nid in self.nodes}
-        pred: dict[str, list[str]] = {nid: [] for nid in self.nodes}
-        for src, dst in self.edges:
-            succ[src].append(dst)
-            pred[dst].append(src)
         self._succ = {nid: tuple(sorted(vs)) for nid, vs in succ.items()}
         self._pred = {nid: tuple(sorted(vs)) for nid, vs in pred.items()}
         self._order: tuple[str, ...] | None = None

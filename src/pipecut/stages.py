@@ -4,8 +4,11 @@ A stage is a contiguous block range run on some device count and replicated
 for data parallelism. The planner minimizes the slowest forward plus the
 slowest backward stage time, including the transfer of boundary values, via
 a dynamic program over (stages so far, blocks covered, devices spent). A
-doubling search on top picks the replica factor, stage count, and microbatch
-count, ranking complete plans by replayed iteration time.
+search on top picks the replica factor R (largest first of those dividing the
+node count), stage count, and microbatch count, ranking complete plans by
+replayed iteration time. Device d sits on node d // devices_per_node: a send
+after cumulative device c crosses nodes when devices c - 1 and c do, and a
+stage's gradient sync when its first and last devices do, or when R > 1.
 
 The stage count is a dimension of the table, as in Alpa's inter-operator DP
 (arXiv 2201.12023) and PipeDream's partitioner: one pass (`_run_pass`)
@@ -152,11 +155,10 @@ def _ckpt(blocks: BlockSet, S: int) -> bool:
 
 def _send(blocks: BlockSet, cut: int, m: int, cum_devices: int) -> float:
     """Transfer time of the boundary at `cut` for one microbatch slice of m
-    samples per device. The cut sits after cumulative device cum_devices;
-    with contiguous placement it crosses nodes exactly when that count is a
-    whole number of nodes."""
-    cluster = blocks.model.cluster
-    inter = cluster.num_nodes > 1 and cum_devices % cluster.devices_per_node == 0
+    samples per device. The cut sits after cumulative device cum_devices,
+    so by the node rule it crosses nodes exactly when that count is a whole
+    number of nodes."""
+    inter = cum_devices % blocks.model.cluster.devices_per_node == 0
     return blocks.model.comm_time(blocks.boundary_bytes(cut, m), inter_node=inter)
 
 
@@ -366,12 +368,12 @@ def form_stage(num_nodes: int, devices_per_node: int, batch_size: int,
                options: SearchOptions | None = None) -> SearchResult:
     """Search replica factor, stage count, and microbatch count together.
 
-    Pipelines widen by node-count doubling: n nodes per pipeline leaves
-    num_nodes/n data-parallel replicas. Each level runs one DP pass per
-    microbatch count over its stage counts; with checkpointing on, a single
-    stage, which drops it, gets a pass of its own. The first level with any
-    feasible assignment wins; within it, candidates are checked with
-    `validate_plan` and ranked by replayed iteration time, then objective,
+    Levels are the replica factors R <= batch_size that divide num_nodes,
+    largest first, each with num_nodes/R nodes per pipeline. Each level runs
+    one DP pass per microbatch count over its stage counts; with checkpointing
+    on, a single stage, which drops it, gets a pass of its own. The first
+    level with any feasible assignment wins; within it, candidates are checked
+    with `validate_plan` and ranked by replayed iteration time, then objective,
     then fewer microbatches, then (stage count, microbatch count) order.
     """
     if num_nodes < 1 or devices_per_node < 1 or batch_size < 1:
@@ -380,11 +382,10 @@ def form_stage(num_nodes: int, devices_per_node: int, batch_size: int,
     opts = options or SearchOptions()
     stats = SearchStats()
     nb = len(blocks)
-    n = 1
-    while n <= num_nodes:
-        if num_nodes % n == 0:
+    for R in range(min(num_nodes, batch_size), 0, -1):
+        if num_nodes % R == 0:
+            n = num_nodes // R
             D = devices_per_node * n
-            R = num_nodes // n
             S_last = min(D, nb)
             found: list[tuple[int, int, Plan]] = []
             MB = 1
@@ -409,7 +410,6 @@ def form_stage(num_nodes: int, devices_per_node: int, batch_size: int,
 
                 found.sort(key=lambda c: c[:2])
                 return SearchResult(min((p for _, _, p in found), key=rank), stats)
-        n *= 2
     return SearchResult(None, stats)
 
 
