@@ -14,7 +14,7 @@ One walk (`_home_terms`) gives the terms of a home, an atom or a block:
 parameter bytes, source bytes, and each task's working set with its reads
 keyed by owning home. A group's memory is composed from its atoms' terms
 by the working-set rule (`_peak`) that spans use too; it equals
-`CostModel.profile` on the merged group, which runs on final blocks only.
+`CostModel.profile` on the merged group, which only tests run.
 A candidate move is scored by its traffic gain over only the values the
 mover's atoms own or read, the Fiduccia-Mattheyses gain (1982), which equals
 the difference of two whole-graph recounts. `BlockSet` holds the span
@@ -104,16 +104,15 @@ class _Grouping:
 
     def __init__(self, partition: AtomicPartition, model: CostModel):
         self.model = model
-        self.budget = model.cluster.device_memory_bytes
         n = len(partition.atoms)
         self.n_atoms = n
         self.succ: list[list[int]] = [[] for _ in range(n)]
-        self.pred: list[list[int]] = [[] for _ in range(n)]
+        pred: list[list[int]] = [[] for _ in range(n)]
         for a, b in partition.dependencies():
             self.succ[a].append(b)
-            self.pred[b].append(a)
+            pred[b].append(a)
         self.neighbors: list[list[int]] = [
-            sorted(set(self.succ[i]) | set(self.pred[i])) for i in range(n)]
+            sorted(set(self.succ[i]) | set(pred[i])) for i in range(n)]
 
         # per atom, at microbatch 1 with checkpointing on: parameter bytes;
         # (value index, bytes, owner atom or -1 for a graph input) of each
@@ -513,16 +512,14 @@ class _SpanTerms:
 
 @dataclass
 class BlockSet:
-    """Final blocks in dependency order with their baseline profiles."""
+    """Blocks in dependency order as atom-index tuples; the rest is derived."""
 
     partition: AtomicPartition
     model: CostModel
     block_atoms: tuple[tuple[int, ...], ...]
-    blocks: tuple[Subcomponent, ...]
-    costs: tuple[CostRecord, ...]  # microbatch 1, checkpointing on
 
     def __post_init__(self) -> None:
-        n = len(self.blocks)
+        n = len(self.block_atoms)
         self._cut_fixed = [0] * (n + 1)
         self._cut_per_sample = [0] * (n + 1)
         self._span_cache: dict[tuple[int, int], Subcomponent] = {}
@@ -566,12 +563,22 @@ class BlockSet:
             self._task_classes.append(_task_classes(shapes))
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(self.block_atoms)
+
+    @property
+    def blocks(self) -> tuple[Subcomponent, ...]:
+        """Each block merged into one subcomponent, for reference walks."""
+        return tuple(self.span(i, i + 1) for i in range(len(self)))
+
+    @property
+    def costs(self) -> tuple[CostRecord, ...]:
+        """Each block's profile at microbatch 1 with checkpointing on."""
+        return tuple(self.profile(i, i + 1, 1, True) for i in range(len(self)))
 
     def boundary_bytes(self, cut: int, microbatch: int) -> int:
         """Bytes crossing between blocks [0, cut) and [cut, n) for one
         microbatch, each value counted once however many readers it has."""
-        if not 0 <= cut <= len(self.blocks):
+        if not 0 <= cut <= len(self):
             raise ValueError(f"cut {cut} out of range")
         return self._cut_fixed[cut] + microbatch * self._cut_per_sample[cut]
 
@@ -587,7 +594,7 @@ class BlockSet:
         return sub
 
     def _check_span(self, lo: int, hi: int) -> None:
-        if not 0 <= lo < hi <= len(self.blocks):
+        if not 0 <= lo < hi <= len(self):
             raise ValueError(f"span [{lo}, {hi}) out of range")
 
     def param_bytes(self, lo: int, hi: int) -> int:
@@ -620,17 +627,18 @@ class BlockSet:
         return rec
 
     def to_json(self) -> dict:
+        width = max(3, len(str(len(self))))
         return {
-            "num_blocks": len(self.blocks),
+            "num_blocks": len(self),
             "blocks": [
                 {
-                    "id": sub.id,
+                    "id": f"B{idx:0{width}d}",
                     "atoms": [self.partition.atoms[i].id for i in grp],
                     "t_fwd_sec": rec.t_fwd_sec,
                     "t_bwd_sec": rec.t_bwd_sec,
                     "mem_bytes": rec.mem_bytes,
                 }
-                for sub, grp, rec in zip(self.blocks, self.block_atoms, self.costs)
+                for idx, (grp, rec) in enumerate(zip(self.block_atoms, self.costs))
             ],
         }
 
@@ -642,7 +650,7 @@ def partition_blocks(partition: AtomicPartition, model: CostModel, k: int = 32) 
     ctx = _Grouping(partition, model)
     for i, atom in enumerate(partition.atoms):
         if not ctx.fits((i,)):
-            raise InfeasibleAtom(atom.id, ctx.mem((i,)), ctx.budget)
+            raise InfeasibleAtom(atom.id, ctx.mem((i,)), model.cluster.device_memory_bytes)
 
     levels: list[list[tuple[int, ...]]] = [[(i,) for i in range(ctx.n_atoms)]]
     transitions: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
@@ -659,14 +667,4 @@ def partition_blocks(partition: AtomicPartition, model: CostModel, k: int = 32) 
         glist = _compact(glist, k, ctx)
         glist = _topo_groups(glist, k, ctx)
 
-    width = max(3, len(str(len(glist))))
-    blocks = tuple(
-        partition.merged(grp, f"B{idx:0{width}d}") for idx, grp in enumerate(glist))
-    costs = tuple(model.profile(sub, 1, checkpointing=True) for sub in blocks)
-    return BlockSet(
-        partition=partition,
-        model=model,
-        block_atoms=tuple(tuple(grp) for grp in glist),
-        blocks=blocks,
-        costs=costs,
-    )
+    return BlockSet(partition, model, tuple(glist))

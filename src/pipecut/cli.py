@@ -227,7 +227,7 @@ def cmd_partition(args) -> int:
         f"device(s), {cluster.device_memory_bytes} bytes each",
         f"batch_size: {args.batch_size}  k: {args.k}  checkpointing: "
         f"{args.checkpointing}",
-        f"blocks: {len(blocks.blocks)}  search_visits: {result.stats.visits}  "
+        f"blocks: {len(blocks)}  search_visits: {result.stats.visits}  "
         f"dp_calls: {result.stats.dp_calls}  oracle_check: {oracle_note}",
         "",
         _stage_table(plan),

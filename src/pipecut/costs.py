@@ -8,10 +8,10 @@ term that depends on whether checkpointing is active: without it every
 produced value stays resident, with it only the stage inputs plus the
 largest single-task working set.
 
-`CostModel.profile` walks a subcomponent's nodes and is the reference
-definition. Its times are `math.fsum` totals, correctly rounded whatever
-the node order, so `BlockSet.profile` can compose the same record exactly
-from per-block terms without walking a span's nodes.
+`CostModel.profile` walks a subcomponent's nodes. It is the reference
+definition that tests compare against; the planner never calls it. Its
+times are `math.fsum` totals, correctly rounded whatever the node order, so
+`BlockSet.profile` composes the same record exactly from per-block terms.
 """
 
 from __future__ import annotations

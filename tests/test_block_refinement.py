@@ -4,7 +4,7 @@
 `CostModel.profile` on the merged group; `_Grouping.gain` scores a move over
 only the values that touch the mover and must equal the difference of two
 whole-graph traffic recounts. Together they keep `partition_blocks` from
-walking the graph: it profiles only the blocks it returns.
+walking the graph: it profiles no group, not even the blocks it returns.
 """
 
 import copy
@@ -235,4 +235,4 @@ class TestProfileCalls:
         monkeypatch.setattr(CostModel, "profile", counting)
         bs = partition_blocks(p, model, k=8)
         assert len(bs) == 8
-        assert calls == [sub.id for sub in bs.blocks]
+        assert calls == []

@@ -117,9 +117,7 @@ def blockset_of(g, *groups):
     p = build_atomic_subcomponents(g)
     model = CostModel(p.graph, CostModelConfig(), CLUSTER)
     groups = tuple(tuple(grp) for grp in groups)
-    blocks = tuple(p.merged(grp, f"B{i}") for i, grp in enumerate(groups))
-    return BlockSet(p, model, groups, blocks,
-                    tuple(model.profile(b, 1, checkpointing=True) for b in blocks))
+    return BlockSet(p, model, groups)
 
 
 def two_way_cut(g, a, b, microbatch):

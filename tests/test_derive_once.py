@@ -73,9 +73,7 @@ class TestCutBytesStayIntegers:
                               bw_inter=1e9)
         model = CostModel(p.graph, CostModelConfig(), cluster)
         groups = ((0,), (1,))
-        blocks = tuple(p.merged(grp, f"B{i}") for i, grp in enumerate(groups))
-        bs = BlockSet(p, model, groups, blocks,
-                      tuple(model.profile(b, 1, checkpointing=True) for b in blocks))
+        bs = BlockSet(p, model, groups)
         got = bs.boundary_bytes(1, 1)
         assert got == big and type(got) is int
         assert bs.boundary_bytes(1, 3) == 3 * big

@@ -171,9 +171,7 @@ def random_blockset(rng: random.Random, p, model, k: int) -> BlockSet:
     cuts = sorted(rng.sample(range(1, n), min(k, n) - 1))
     groups = tuple(tuple(sorted(order[lo:hi]))
                    for lo, hi in zip([0] + cuts, cuts + [n]))
-    blocks = tuple(p.merged(grp, f"B{i}") for i, grp in enumerate(groups))
-    return BlockSet(p, model, groups, blocks,
-                    tuple(model.profile(b, 1, checkpointing=True) for b in blocks))
+    return BlockSet(p, model, groups)
 
 
 def assert_composed_equals_walk(bs, rng, microbatches, n_spans=None):
