@@ -12,9 +12,11 @@ Every group must fit device memory (`CostModel.fits`) at microbatch 1 with
 checkpointing on, the floor any later stage assignment has to clear too.
 One walk (`_home_terms`) gives the terms of a home, an atom or a block:
 parameter bytes, source bytes, and each task's working set with its reads
-keyed by owning home. A group's memory is composed from its atoms' terms
-by the working-set rule (`_peak`) that spans use too; it equals
-`CostModel.profile` on the merged group, which only tests run.
+keyed by owning home. A group's memory terms are kept as a summary, and a
+merge composes the summaries of its two sides (`_union`) instead of walking
+every member: reads the other side owns resolve by the working-set rule
+(`_peak`) that spans use too. The result equals `CostModel.profile` on the
+merged group, which only tests run.
 A candidate move is scored by its traffic gain over only the values the
 mover's atoms own or read, the Fiduccia-Mattheyses gain (1982), which equals
 the difference of two whole-graph recounts. `BlockSet` holds the span
@@ -96,11 +98,23 @@ def is_convex(group, succ) -> bool:
     return True
 
 
+# groups of at most this many atoms that coarsening merged away keep no
+# summary: refinement folds the few it checks from their atoms
+_FOLD_ATOMS = 8
+
+
 class _Grouping:
     """Shared state for the three phases: adjacency, costs, feasibility.
 
     Group memory and move gains are composed from per-atom terms built once
-    here, so neither walks the graph or materializes a subcomponent."""
+    here, so neither walks the graph or materializes a subcomponent. A
+    group's memory terms are a summary, a tuple of: parameter bytes; its
+    inputs, the (value index, bytes, owner atom or -1 for a graph input)
+    entries of the values it reads from outside, each value once; the
+    largest task working set so far; and the (working set, ((owner atom,
+    bytes), ...)) terms whose reads from outside may still join it (`_peak`).
+    `_union` composes the summaries of disjoint groups into their union's,
+    so a merge costs two summaries, not a walk over every member."""
 
     def __init__(self, partition: AtomicPartition, model: CostModel):
         self.model = model
@@ -114,31 +128,31 @@ class _Grouping:
         self.neighbors: list[list[int]] = [
             sorted(set(self.succ[i]) | set(pred[i])) for i in range(n)]
 
-        # per atom, at microbatch 1 with checkpointing on: parameter bytes;
-        # (value index, bytes, owner atom or -1 for a graph input) of each
-        # input; the largest working set of its tasks that read nothing
-        # another atom owns, and (own working set, reads) of the others
+        # per atom, at microbatch 1 with checkpointing on: its compute time
+        # and its summary, whose input entries are shared between atoms
         g = partition.graph
-        value_index = {vid: i for i, vid in enumerate(g.value_ids())}
         owner_of = partition.owner_of_value
+        entries: dict[str, tuple[int, int, int]] = {}
         self.atom_comp: list[float] = []
-        self._params: list[int] = []
-        self._inputs: list[tuple[tuple[int, int, int], ...]] = []
-        self._own_peak: list[int] = []
-        self._reaching: list[list[tuple[int, list[tuple[int, int]]]]] = []
+        self._atoms: list[tuple] = []
         home_terms = _home_terms(partition, [(a,) for a in range(n)])
         for atom, (params, _, shapes) in zip(partition.atoms, home_terms):
             t_fwd, t_bwd, _, own_peak, reaching = _task_terms(
                 model, [(shape, 1) for shape in shapes], 1)
             self.atom_comp.append(math.fsum(t for t, _ in t_fwd)
                                   + math.fsum(t for t, _ in t_bwd))
-            self._params.append(params)
-            self._inputs.append(tuple(
-                (value_index[vid], g.value_size(vid, 1),
-                 -1 if vid in g.inputs else owner_of(vid))
-                for vid in atom.input_values))
-            self._own_peak.append(own_peak)
-            self._reaching.append(reaching)
+            inputs = []
+            for vid in atom.input_values:
+                entry = entries.get(vid)
+                if entry is None:
+                    entry = entries[vid] = (len(entries), g.value_size(vid, 1),
+                                            -1 if vid in g.inputs else owner_of(vid))
+                inputs.append(entry)
+            peak, still_open = _peak(0, own_peak, reaching, ())
+            self._atoms.append((params, tuple(inputs), peak, tuple(still_open)))
+        # summaries of multi-atom groups of the levels, exact for their key
+        # whatever moves later do, and dropped once refinement is over
+        self.summaries: dict[tuple[int, ...], tuple] = {}
 
         # (bytes, owner atom, foreign consumer atoms) of each value read
         # outside its owner, and per atom the entries it owns or reads
@@ -156,27 +170,34 @@ class _Grouping:
 
     def rank(self, group: tuple[int, ...]) -> tuple[float, int]:
         """Merge order: cheapest compute first, ties by smallest atom."""
-        return sum(self.atom_comp[i] for i in group), group[0]
+        return sum(map(self.atom_comp.__getitem__, group)), group[0]
+
+    def summary(self, group: tuple[int, ...]) -> tuple:
+        """The group's summary: a kept one, else its atoms' folded."""
+        if len(group) == 1:
+            return self._atoms[group[0]]
+        s = self.summaries.get(group)
+        return s if s is not None else _union([self._atoms[a] for a in group], set(group))
+
+    def retire(self, group: tuple[int, ...]) -> None:
+        """Drop the summary of a group that coarsening merged away if it is
+        small, so that refinement folds it from its atoms when it needs it."""
+        if len(group) <= _FOLD_ATOMS:
+            self.summaries.pop(group, None)
+
+    def mem_of(self, summary: tuple) -> int:
+        """`CostModel.profile` memory at microbatch 1 with checkpointing on
+        of the group with this summary: each input once, plus the largest
+        task working set."""
+        params, inputs, peak, _ = summary
+        return self.model.training_bytes(params, sum(e[1] for e in inputs) + peak)
 
     def mem(self, group: tuple[int, ...]) -> int:
-        """`CostModel.profile` memory of the merged group at microbatch 1
-        with checkpointing on, from the members' terms: each input from
-        outside the group once, plus the largest task working set, where a
-        read of a value another member owns stays in the working set."""
-        members = set(group)
-        seen: set[int] = set()
-        params = input_bytes = peak = 0
-        for a in group:
-            params += self._params[a]
-            for vi, size, owner in self._inputs[a]:
-                if owner not in members and vi not in seen:
-                    seen.add(vi)
-                    input_bytes += size
-            peak = _peak(peak, self._own_peak[a], self._reaching[a], members)
-        return self.model.training_bytes(params, input_bytes + peak)
+        """`CostModel.profile` memory of the merged group, from its summary."""
+        return self.mem_of(self.summary(group))
 
-    def fits(self, group: tuple[int, ...]) -> bool:
-        return self.model.fits(self.mem(group))
+    def fits(self, summary: tuple) -> bool:
+        return self.model.fits(self.mem_of(summary))
 
     def gain(self, mover: tuple[int, ...], dest: int, table: list[int]) -> int:
         """Traffic saved by moving the mover's atoms into group `dest` of the
@@ -206,11 +227,15 @@ def _group_index(groups: list[tuple[int, ...]], n_atoms: int) -> list[int]:
 
 
 def _coarsen_pass(groups: list[tuple[int, ...]], k: int, ctx: _Grouping):
-    """One level of pairwise merges, cheapest groups first."""
+    """One level of pairwise merges, cheapest groups first. A candidate's
+    memory is composed from the two groups' summaries; an accepted merge
+    keeps its summary for the next level and for refinement, and retires the
+    two it merged (`_Grouping.retire`)."""
     gmap = _group_index(groups, ctx.n_atoms)
-    order = sorted(range(len(groups)), key=lambda gi: ctx.rank(groups[gi]))
+    ranks = [ctx.rank(grp) for grp in groups]
+    order = sorted(range(len(groups)), key=ranks.__getitem__)
     used: set[int] = set()
-    partner: dict[int, int] = {}
+    partner: dict[int, tuple[int, tuple[int, ...]]] = {}  # gi -> (gj, merged)
     count = len(groups)
     for gi in order:
         if count <= k:
@@ -220,19 +245,25 @@ def _coarsen_pass(groups: list[tuple[int, ...]], k: int, ctx: _Grouping):
         v = groups[gi]
         cand_ids = {gmap[b] for a in v for b in ctx.neighbors[a]}
         cand_ids.discard(gi)
-        cands = sorted((c for c in cand_ids if c not in used),
-                       key=lambda c: ctx.rank(groups[c]))
+        cands = sorted((c for c in cand_ids if c not in used), key=ranks.__getitem__)
         for gj in cands:
-            merged = tuple(sorted(v + groups[gj]))
-            if is_convex(merged, ctx.succ) and ctx.fits(merged):
-                partner[gi] = gj
+            w = groups[gj]
+            merged = tuple(sorted(v + w))
+            if not is_convex(merged, ctx.succ):
+                continue
+            summary = _union([ctx.summary(v), ctx.summary(w)], set(merged))
+            if ctx.fits(summary):
+                ctx.summaries[merged] = summary
+                ctx.retire(v)
+                ctx.retire(w)
+                partner[gi] = gj, merged
                 used.add(gi)
                 used.add(gj)
                 count -= 1
                 break
-    merges = [(groups[gi], groups[gj]) for gi, gj in sorted(partner.items())]
+    merges = [(groups[gi], groups[gj]) for gi, (gj, _) in sorted(partner.items())]
     new_groups = [grp for gi, grp in enumerate(groups) if gi not in used]
-    new_groups += [tuple(sorted(v + w)) for v, w in merges]
+    new_groups += [merged for _, merged in partner.values()]
     new_groups.sort(key=lambda grp: grp[0])
     return new_groups, merges
 
@@ -269,9 +300,17 @@ def _uncoarsen(levels, transitions, ctx: _Grouping) -> None:
 
 
 def _move_fits(mover, target, levels, tables, li, ctx: _Grouping) -> bool:
-    """Both touched groups stay convex and inside memory at every coarser level."""
+    """Both touched groups stay convex and inside memory at every coarser level.
+
+    The grown group's summary composes the destination's and the mover's.
+    Levels nest, so the shrunk group at level lj is the shrunk group one
+    level finer (at li, nothing) plus the source's other constituents there.
+    """
     mover_set = set(mover)
-    for level, table in zip(levels[li + 1:], tables[li + 1:]):
+    moving = _level_summary(mover, li, levels, tables, ctx)
+    kept = _union([], ())  # the shrunk group one level finer
+    for lj in range(li + 1, len(levels)):
+        level, table = levels[lj], tables[lj]
         src = level[table[mover[0]]]
         dst = level[table[target[0]]]
         shrunk = tuple(a for a in src if a not in mover_set)
@@ -280,9 +319,28 @@ def _move_fits(mover, target, levels, tables, li, ctx: _Grouping) -> bool:
             return False
         if not (is_convex(grown, ctx.succ) and is_convex(shrunk, ctx.succ)):
             return False
-        if not (ctx.fits(grown) and ctx.fits(shrunk)):
+        if not ctx.fits(_union([_level_summary(dst, lj, levels, tables, ctx), moving],
+                               set(grown))):
+            return False
+        parts = {tables[lj - 1][a] for a in src}
+        parts.discard(tables[lj - 1][mover[0]])
+        kept = _union([kept, *(_level_summary(levels[lj - 1][p], lj - 1, levels, tables, ctx)
+                               for p in parts)], set(shrunk))
+        if not ctx.fits(kept):
             return False
     return True
+
+
+def _level_summary(group, lj, levels, tables, ctx: _Grouping) -> tuple:
+    """The summary of a group of level lj. Levels nest, so a large one that a
+    move rewrote is composed from its constituents one level finer, and kept."""
+    s = ctx.summaries.get(group)
+    if s is None and lj > 0 and len(group) > _FOLD_ATOMS:
+        parts = {tables[lj - 1][a] for a in group}
+        s = ctx.summaries[group] = _union(
+            [_level_summary(levels[lj - 1][p], lj - 1, levels, tables, ctx) for p in parts],
+            set(group))
+    return s if s is not None else ctx.summary(group)
 
 
 def _apply_move(mover, target, levels, tables, li) -> None:
@@ -315,7 +373,7 @@ def _topo_groups(groups: list[tuple[int, ...]], k: int,
         except graphlib.CycleError as exc:
             cycle = set(exc.args[1])
             union = tuple(sorted(a for gi in cycle for a in groups[gi]))
-            if not ctx.fits(union):
+            if not ctx.fits(ctx.summary(union)):
                 raise CompactionStuck(len(groups), k, f"folding a cycle of "
                                       f"{len(cycle)} groups exceeds device memory")
             groups = [grp for gi, grp in enumerate(groups) if gi not in cycle] + [union]
@@ -348,7 +406,7 @@ def _compact(glist: list[tuple[int, ...]], k: int, ctx: _Grouping) -> list[tuple
                                      if 0 <= s < len(glist)), key=rank))
         for pos, side in pairs:
             union = tuple(sorted(glist[pos] + glist[side]))
-            if ctx.fits(union):
+            if ctx.fits(ctx.summary(union)):
                 lo = min(pos, side)
                 glist[lo:lo + 2] = [union]
                 break
@@ -431,7 +489,7 @@ def _task_terms(model: CostModel, classes: list[tuple[_TaskShape, int]], m: int)
     t_fwd: list[tuple[float, int]] = []
     t_bwd: list[tuple[float, int]] = []
     produced_total = own_peak = 0
-    reaching: list[tuple[int, list[tuple[int, int]]]] = []
+    reaching: list[tuple[int, tuple[tuple[int, int], ...]]] = []
     for shape, count in classes:
         tf, tb, produced = model.task_cost(shape.info, m)
         t_fwd.append((tf, count))
@@ -441,20 +499,55 @@ def _task_terms(model: CostModel, classes: list[tuple[_TaskShape, int]], m: int)
         produced_total += count * produced
         own = produced + sum(f + m * s for f, s in shape.local_reads)
         if shape.foreign_reads:
-            reaching.append((own, [(ob, f + m * s) for ob, f, s in shape.foreign_reads]))
+            reaching.append((own, tuple([(ob, f + m * s) for ob, f, s in shape.foreign_reads])))
         else:
             own_peak = max(own_peak, own)
     return t_fwd, t_bwd, produced_total, own_peak, reaching
 
 
-def _peak(peak: int, own_peak: int, reaching, inside) -> int:
+def _peak(peak: int, own_peak: int, reaching, inside) -> tuple[int, list]:
     """The one working-set rule: the larger of `peak` and a home's largest
     task working set, which a foreign read joins only if its owner is
-    `inside` the group or span; any other read is an input of it."""
+    `inside` the group or span; any other read is an input of it.
+
+    Also returns the terms still open, each with the reads inside added to
+    its working set and only the others left, which a merge that brings
+    their owners inside resolves; a term that gained no read is kept as it
+    is. A span only grows upward, so spans ignore them."""
     peak = max(peak, own_peak)
-    for own, reads in reaching:
-        peak = max(peak, own + sum(size for owner, size in reads if owner in inside))
-    return peak
+    still_open = []
+    for term in reaching:
+        own, reads = term
+        outside = []
+        for read in reads:
+            if read[0] in inside:
+                own += read[1]
+            else:
+                outside.append(read)
+        if len(outside) < len(reads):
+            term = (own, tuple(outside))
+        if own > peak:
+            peak = own
+        if outside:
+            still_open.append(term)
+    return peak, still_open
+
+
+def _union(summaries, inside) -> tuple:
+    """The summary of `inside`, the union of disjoint groups, from theirs: an
+    input owned inside is no input of the union, a value read by several
+    groups is one input, and reads owned inside join their working sets."""
+    params = peak = 0
+    inputs: dict[int, tuple[int, int, int]] = {}
+    still_open: list = []
+    for part_params, part_inputs, part_peak, part_open in summaries:
+        params += part_params
+        for entry in part_inputs:
+            if entry[2] not in inside:
+                inputs[entry[0]] = entry
+        peak, part_open = _peak(peak, part_peak, part_open, inside)
+        still_open += part_open
+    return params, tuple(inputs.values()), peak, tuple(still_open)
 
 
 def _exact_prefix(per_block: list[list[tuple[float, int]]]) -> tuple[int, list[int]]:
@@ -484,7 +577,7 @@ class _SpanTerms:
         # largest working set of a block's tasks that read nothing from an
         # earlier block, and (own working set, earlier reads) of the others
         self.own_peak: list[int] = []
-        self.reaching: list[list[tuple[int, list[tuple[int, int]]]]] = []
+        self.reaching: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = []
         self._peak_rows: dict[int, list[int]] = {}
         for b, classes in enumerate(blocks._task_classes):
             fixed, per_sample = blocks._source_bytes[b]
@@ -505,14 +598,17 @@ class _SpanTerms:
             n = len(self.own_peak)
             row = [0] * (n + 1)
             for b in range(lo, n):
-                row[b + 1] = _peak(row[b], self.own_peak[b], self.reaching[b], range(lo, n))
+                row[b + 1] = _peak(row[b], self.own_peak[b], self.reaching[b], range(lo, n))[0]
             self._peak_rows[lo] = row
         return row
 
 
 @dataclass
 class BlockSet:
-    """Blocks in dependency order as atom-index tuples; the rest is derived."""
+    """Blocks in dependency order as atom-index tuples; the rest is derived.
+
+    Raises ValueError unless every atom is in exactly one block and no block
+    reads a value that a later block owns."""
 
     partition: AtomicPartition
     model: CostModel
@@ -520,6 +616,8 @@ class BlockSet:
 
     def __post_init__(self) -> None:
         n = len(self.block_atoms)
+        if sorted(itertools.chain(*self.block_atoms)) != list(range(len(self.partition.atoms))):
+            raise ValueError("every atom must be in exactly one block")
         self._cut_fixed = [0] * (n + 1)
         self._cut_per_sample = [0] * (n + 1)
         self._span_cache: dict[tuple[int, int], Subcomponent] = {}
@@ -533,6 +631,9 @@ class BlockSet:
         for vid in g.value_ids():
             owner = block_of[self.partition.owner_of_value(vid)]
             readers = sorted({block_of[c] for c in self.partition.consumer_atoms(vid)})
+            if readers and readers[0] < owner and vid not in g.inputs:
+                raise ValueError(f"block {readers[0]} reads {vid!r} from the later "
+                                 f"block {owner}; blocks must be in dependency order")
             last = readers[-1] if readers else owner
             info = g.nodes[vid].value
             for cut in range(owner + 1, last + 1):
@@ -649,7 +750,7 @@ def partition_blocks(partition: AtomicPartition, model: CostModel, k: int = 32) 
         raise ValueError("k must be at least 1")
     ctx = _Grouping(partition, model)
     for i, atom in enumerate(partition.atoms):
-        if not ctx.fits((i,)):
+        if not ctx.fits(ctx.summary((i,))):
             raise InfeasibleAtom(atom.id, ctx.mem((i,)), model.cluster.device_memory_bytes)
 
     levels: list[list[tuple[int, ...]]] = [[(i,) for i in range(ctx.n_atoms)]]
@@ -661,6 +762,7 @@ def partition_blocks(partition: AtomicPartition, model: CostModel, k: int = 32) 
         levels.append(new_groups)
         transitions.append(merges)
     _uncoarsen(levels, transitions, ctx)
+    ctx.summaries.clear()
 
     glist = _topo_groups(levels[-1], k, ctx)
     if len(glist) > k:
