@@ -16,7 +16,10 @@ keyed by owning home. A group's memory terms are kept as a summary, and a
 merge composes the summaries of its two sides (`_union`) instead of walking
 every member: reads the other side owns resolve by the working-set rule
 (`_peak`) that spans use too. The result equals `CostModel.profile` on the
-merged group, which only tests run.
+merged group, which only tests run. Coarsening keeps the summary of every
+group it forms, and a move check keeps those of the groups it would grow and
+shrink, so refinement composes each summary from kept ones and never walks
+or rebuilds a group.
 A candidate move is scored by its traffic gain over only the values the
 mover's atoms own or read, the Fiduccia-Mattheyses gain (1982), which equals
 the difference of two whole-graph recounts. `BlockSet` holds the span
@@ -98,13 +101,8 @@ def is_convex(group, succ) -> bool:
     return True
 
 
-# groups of at most this many atoms that coarsening merged away keep no
-# summary: refinement folds the few it checks from their atoms
-_FOLD_ATOMS = 8
-
-
 class _Grouping:
-    """Shared state for the three phases: adjacency, costs, feasibility.
+    """Shared state for the four phases: adjacency, costs, feasibility.
 
     Group memory and move gains are composed from per-atom terms built once
     here, so neither walks the graph or materializes a subcomponent. A
@@ -150,8 +148,8 @@ class _Grouping:
                 inputs.append(entry)
             peak, still_open = _peak(0, own_peak, reaching, ())
             self._atoms.append((params, tuple(inputs), peak, tuple(still_open)))
-        # summaries of multi-atom groups of the levels, exact for their key
-        # whatever moves later do, and dropped once refinement is over
+        # summaries of the groups that coarsening formed and that move checks
+        # composed, exact for their key; cleared once refinement is over
         self.summaries: dict[tuple[int, ...], tuple] = {}
 
         # (bytes, owner atom, foreign consumer atoms) of each value read
@@ -178,12 +176,6 @@ class _Grouping:
             return self._atoms[group[0]]
         s = self.summaries.get(group)
         return s if s is not None else _union([self._atoms[a] for a in group], set(group))
-
-    def retire(self, group: tuple[int, ...]) -> None:
-        """Drop the summary of a group that coarsening merged away if it is
-        small, so that refinement folds it from its atoms when it needs it."""
-        if len(group) <= _FOLD_ATOMS:
-            self.summaries.pop(group, None)
 
     def mem_of(self, summary: tuple) -> int:
         """`CostModel.profile` memory at microbatch 1 with checkpointing on
@@ -229,8 +221,7 @@ def _group_index(groups: list[tuple[int, ...]], n_atoms: int) -> list[int]:
 def _coarsen_pass(groups: list[tuple[int, ...]], k: int, ctx: _Grouping):
     """One level of pairwise merges, cheapest groups first. A candidate's
     memory is composed from the two groups' summaries; an accepted merge
-    keeps its summary for the next level and for refinement, and retires the
-    two it merged (`_Grouping.retire`)."""
+    keeps its summary for the next level and for refinement."""
     gmap = _group_index(groups, ctx.n_atoms)
     ranks = [ctx.rank(grp) for grp in groups]
     order = sorted(range(len(groups)), key=ranks.__getitem__)
@@ -254,8 +245,6 @@ def _coarsen_pass(groups: list[tuple[int, ...]], k: int, ctx: _Grouping):
             summary = _union([ctx.summary(v), ctx.summary(w)], set(merged))
             if ctx.fits(summary):
                 ctx.summaries[merged] = summary
-                ctx.retire(v)
-                ctx.retire(w)
                 partner[gi] = gj, merged
                 used.add(gi)
                 used.add(gj)
@@ -305,9 +294,11 @@ def _move_fits(mover, target, levels, tables, li, ctx: _Grouping) -> bool:
     The grown group's summary composes the destination's and the mover's.
     Levels nest, so the shrunk group at level lj is the shrunk group one
     level finer (at li, nothing) plus the source's other constituents there.
+    Both summaries are kept under their groups, so once the move is applied
+    every group of every level still has its summary.
     """
     mover_set = set(mover)
-    moving = _level_summary(mover, li, levels, tables, ctx)
+    moving = ctx.summary(mover)
     kept = _union([], ())  # the shrunk group one level finer
     for lj in range(li + 1, len(levels)):
         level, table = levels[lj], tables[lj]
@@ -319,28 +310,16 @@ def _move_fits(mover, target, levels, tables, li, ctx: _Grouping) -> bool:
             return False
         if not (is_convex(grown, ctx.succ) and is_convex(shrunk, ctx.succ)):
             return False
-        if not ctx.fits(_union([_level_summary(dst, lj, levels, tables, ctx), moving],
-                               set(grown))):
+        grown_summary = ctx.summaries[grown] = _union([ctx.summary(dst), moving], set(grown))
+        if not ctx.fits(grown_summary):
             return False
         parts = {tables[lj - 1][a] for a in src}
         parts.discard(tables[lj - 1][mover[0]])
-        kept = _union([kept, *(_level_summary(levels[lj - 1][p], lj - 1, levels, tables, ctx)
-                               for p in parts)], set(shrunk))
+        kept = ctx.summaries[shrunk] = _union(
+            [kept, *(ctx.summary(levels[lj - 1][p]) for p in parts)], set(shrunk))
         if not ctx.fits(kept):
             return False
     return True
-
-
-def _level_summary(group, lj, levels, tables, ctx: _Grouping) -> tuple:
-    """The summary of a group of level lj. Levels nest, so a large one that a
-    move rewrote is composed from its constituents one level finer, and kept."""
-    s = ctx.summaries.get(group)
-    if s is None and lj > 0 and len(group) > _FOLD_ATOMS:
-        parts = {tables[lj - 1][a] for a in group}
-        s = ctx.summaries[group] = _union(
-            [_level_summary(levels[lj - 1][p], lj - 1, levels, tables, ctx) for p in parts],
-            set(group))
-    return s if s is not None else ctx.summary(group)
 
 
 def _apply_move(mover, target, levels, tables, li) -> None:
@@ -620,7 +599,6 @@ class BlockSet:
             raise ValueError("every atom must be in exactly one block")
         self._cut_fixed = [0] * (n + 1)
         self._cut_per_sample = [0] * (n + 1)
-        self._span_cache: dict[tuple[int, int], Subcomponent] = {}
         # input bytes of span [lo, hi), fixed and per sample, indexed
         # [lo][hi]: each value a span starting at lo reads as an input is
         # added where its first reader at or after lo ends, then summed over hi
@@ -684,15 +662,10 @@ class BlockSet:
         return self._cut_fixed[cut] + microbatch * self._cut_per_sample[cut]
 
     def span(self, lo: int, hi: int) -> Subcomponent:
-        """Union of blocks [lo, hi) as one subcomponent."""
+        """Union of blocks [lo, hi) as one subcomponent, for reference walks."""
         self._check_span(lo, hi)
-        key = (lo, hi)
-        sub = self._span_cache.get(key)
-        if sub is None:
-            atoms = [a for grp in self.block_atoms[lo:hi] for a in grp]
-            sub = self.partition.merged(atoms, f"S{lo:03d}_{hi:03d}")
-            self._span_cache[key] = sub
-        return sub
+        atoms = [a for grp in self.block_atoms[lo:hi] for a in grp]
+        return self.partition.merged(atoms, f"S{lo:03d}_{hi:03d}")
 
     def _check_span(self, lo: int, hi: int) -> None:
         if not 0 <= lo < hi <= len(self):

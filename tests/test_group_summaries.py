@@ -4,7 +4,8 @@ Coarsening and refinement check a merged or moved group against device
 memory with a summary composed from smaller ones (`blocks._union`), not by
 walking its atoms. Every summary that `_coarsen_pass` and `_move_fits` test
 must equal `CostModel.profile` on the merged group, also where memory is
-tight enough that merges and moves get refused.
+tight enough that merges and moves get refused. After refinement every
+group of every level has a kept summary, so none is rebuilt.
 """
 
 import random
@@ -100,25 +101,28 @@ class TestComposedSummaries:
         assert seen == {("coarsen", True), ("coarsen", False),
                         ("refine", True), ("refine", False)}
 
-    def test_rewritten_large_groups_are_composed_from_constituents(self, monkeypatch):
-        """On bert, refinement moves groups under coarser groups of more than
-        `_FOLD_ATOMS` atoms, whose summaries `_level_summary` then composes
-        from the level below instead of folding every atom."""
-        composed = []
-        real = blocks._level_summary
-
-        def level_summary(group, lj, levels, tables, ctx):
-            fresh = len(group) > blocks._FOLD_ATOMS and group not in ctx.summaries
-            s = real(group, lj, levels, tables, ctx)
-            if fresh:
-                composed.append((group, ctx.mem_of(s)))
-            return s
-
-        monkeypatch.setattr(blocks, "_level_summary", level_summary)
-        p, model, tested = checked_summaries(gen_bert_like(64, 8, 16, 100), 3, 2**20,
-                                             monkeypatch)
-        assert composed
-        for group, mem in composed:
-            assert mem == profile_mem(p, model, group), group
-        for phase, group, mem, _ in tested:
-            assert mem == profile_mem(p, model, group), (phase, group)
+    @pytest.mark.parametrize("mem_factor", [3, 1.5, 2**20])
+    @pytest.mark.parametrize("name, g, k", CASES, ids=[c[0] for c in CASES])
+    def test_every_group_of_every_level_keeps_its_summary(self, name, g, k, mem_factor):
+        """After refinement every multi-atom group on every level, those that
+        moves rewrote included, has a kept summary equal to its profile."""
+        p = build_atomic_subcomponents(g)
+        probe = CostModel(p.graph, CostModelConfig(), BIG)
+        largest = max(probe.profile(a, 1, checkpointing=True).mem_bytes for a in p.atoms)
+        model = CostModel(p.graph, CostModelConfig(),
+                          ClusterSpec(1, 4, int(largest * mem_factor), 50e9, 10e9))
+        ctx = _Grouping(p, model)
+        levels = [[(i,) for i in range(len(p.atoms))]]
+        transitions = []
+        while len(levels[-1]) > k:
+            new_groups, merges = _coarsen_pass(levels[-1], k, ctx)
+            if not merges:
+                break
+            levels.append(new_groups)
+            transitions.append(merges)
+        _uncoarsen(levels, transitions, ctx)
+        groups = {grp for level in levels for grp in level if len(grp) > 1}
+        assert groups
+        for group in groups:
+            assert group in ctx.summaries, group
+            assert ctx.mem_of(ctx.summaries[group]) == profile_mem(p, model, group), group
