@@ -11,7 +11,10 @@ shared support nodes and their edges change.
 Atoms and their unions share one boundary rule (`AtomicPartition.merged`):
 a group's inputs are the values its tasks read that are model inputs or
 owned outside the group, and its outputs are the values it owns that are
-model outputs or read outside it.
+model outputs or read outside it. The values that can cross a boundary are
+listed once (`AtomicPartition.crossing`): every value some atom takes as an
+input, with its owner atom and its reader atoms. The atom dependencies, a
+group's outputs and the block phase all read that table.
 """
 
 from __future__ import annotations
@@ -106,28 +109,29 @@ class AtomicPartition:
                     self._task_atom[nid] = idx
                 else:
                     self._value_owner[nid] = idx
-        self._consumer_atoms: dict[str, frozenset[int]] = {}
+        # value id -> (owner atom, sorted reader atoms) of every value some
+        # atom takes as an input, in value-id order: all readers of a graph
+        # input, the readers other than the owner of any other value
+        self.crossing: dict[str, tuple[int, tuple[int, ...]]] = {}
         for vid in self.graph.value_ids():
-            self._consumer_atoms[vid] = frozenset(
-                self._task_atom[t] for t in self.graph.consumers(vid))
+            owner = self._value_owner[vid]
+            readers = {self._task_atom[t] for t in self.graph.consumers(vid)}
+            if vid not in self.graph.inputs:
+                readers.discard(owner)
+            if readers:
+                self.crossing[vid] = owner, tuple(sorted(readers))
 
     def owner_of_value(self, value_id: str) -> int:
         return self._value_owner[value_id]
 
     def consumer_atoms(self, value_id: str) -> frozenset[int]:
-        return self._consumer_atoms[value_id]
+        return frozenset(self._task_atom[t] for t in self.graph.consumers(value_id))
 
     def dependencies(self) -> list[tuple[int, int]]:
-        """Atom-level edges: producer atom -> consumer atom of a value."""
-        deps: set[tuple[int, int]] = set()
-        for vid in self.graph.value_ids():
-            if self.graph.producer(vid) is None:
-                continue  # model inputs and source constants carry no dependency
-            owner = self._value_owner[vid]
-            for consumer in self._consumer_atoms[vid]:
-                if consumer != owner:
-                    deps.add((owner, consumer))
-        return sorted(deps)
+        """Atom-level edges: owner atom -> reader atom of a crossing value.
+        A graph input carries no dependency."""
+        return sorted({(owner, reader) for vid, (owner, readers) in self.crossing.items()
+                       if vid not in self.graph.inputs for reader in readers})
 
     def merged(self, atom_indices, sub_id: str) -> Subcomponent:
         """Materialize the union of atoms as one subcomponent.
@@ -138,12 +142,12 @@ class AtomicPartition:
         it. Only the atoms' node sets are read.
         """
         graph, group = self.graph, frozenset(atom_indices)
-        owner, task_atom = self._value_owner, self._task_atom
+        owner, task_atom, crossing = self._value_owner, self._task_atom, self.crossing
         node_ids = frozenset().union(*(self.atoms[idx].node_ids for idx in group))
         inputs = {vid for nid in node_ids if nid in task_atom for vid in graph.pred(nid)
                   if vid in graph.inputs or owner.get(vid) not in group}
-        outputs = {vid for vid in node_ids if vid in owner
-                   and (vid in graph.outputs or not self._consumer_atoms[vid] <= group)}
+        outputs = {vid for vid in node_ids if vid in owner and (
+            vid in graph.outputs or vid in crossing and not group.issuperset(crossing[vid][1]))}
         return Subcomponent(sub_id, node_ids, tuple(sorted(inputs)), tuple(sorted(outputs)))
 
 

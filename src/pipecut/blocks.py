@@ -11,11 +11,13 @@ list-adjacent groups whenever coarsening stalled short of the target.
 Every group must fit device memory (`CostModel.fits`) at microbatch 1 with
 checkpointing on, the floor any later stage assignment has to clear too.
 One walk (`_home_terms`) gives the terms of a home, an atom or a block:
-parameter bytes, source bytes, and each task's working set with its reads
-keyed by owning home. A group's memory terms are kept as a summary, and a
-merge composes the summaries of its two sides (`_union`) instead of walking
-every member: reads the other side owns resolve by the working-set rule
-(`_peak`) that spans use too. The result equals `CostModel.profile` on the
+parameter bytes, source bytes, and each task's working set with every read
+keyed by its owner's home. One rule (`_peak`) resolves a read: it joins the
+working set if its owner is inside the home, group or span, and is an input
+otherwise. Each home resolves its own reads once, when its terms are built,
+and groups and spans resolve the rest. A group's memory terms are kept as a
+summary, and a merge composes the summaries of its two sides (`_union`)
+instead of walking every member. The result equals `CostModel.profile` on the
 merged group, which only tests run. Coarsening keeps the summary of every
 group it forms, and a move check keeps those of the groups it would grow and
 shrink, so refinement composes each summary from kept ones and never walks
@@ -24,7 +26,9 @@ A candidate move is scored by its traffic gain over only the values the
 mover's atoms own or read, the Fiduccia-Mattheyses gain (1982), which equals
 the difference of two whole-graph recounts. `BlockSet` holds the span
 profiles and boundary bytes that stage search, plan checking and replay
-share; `stages` turns boundary bytes into send times.
+share; `stages` turns boundary bytes into send times. Adjacency, inputs,
+traffic, cut bytes and span inputs all come from the partition's table of
+values that cross between atoms (`AtomicPartition.crossing`).
 
 `BlockSet.profile` composes a span's `CostRecord` from per-block terms in
 constant time instead of walking the span's nodes, the way PipeDream's
@@ -118,53 +122,47 @@ class _Grouping:
         self.model = model
         n = len(partition.atoms)
         self.n_atoms = n
-        self.succ: list[list[int]] = [[] for _ in range(n)]
-        pred: list[list[int]] = [[] for _ in range(n)]
-        for a, b in partition.dependencies():
-            self.succ[a].append(b)
-            pred[b].append(a)
-        self.neighbors: list[list[int]] = [
-            sorted(set(self.succ[i]) | set(pred[i])) for i in range(n)]
+        g = partition.graph
+        # one pass over the crossing table: the atom dependencies; each
+        # atom's input entries, shared between atoms; and the (bytes, owner
+        # atom, foreign reader atoms) of each value read outside its owner,
+        # with per atom the traffic entries it owns or reads
+        succ: list[set[int]] = [set() for _ in range(n)]
+        pred: list[set[int]] = [set() for _ in range(n)]
+        inputs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        self._value_traffic: list[tuple[int, int, tuple[int, ...]]] = []
+        self._touching: list[list[int]] = [[] for _ in range(n)]
+        for vi, (vid, (owner, readers)) in enumerate(partition.crossing.items()):
+            size, is_input = g.value_size(vid, 1), vid in g.inputs
+            entry = (vi, size, -1 if is_input else owner)
+            for a in readers:
+                inputs[a].append(entry)
+            if not is_input:
+                succ[owner].update(readers)
+                for a in readers:
+                    pred[a].add(owner)
+            foreign = tuple(a for a in readers if a != owner)
+            if foreign:
+                for a in (owner, *foreign):
+                    self._touching[a].append(len(self._value_traffic))
+                self._value_traffic.append((size, owner, foreign))
+        self.succ = [sorted(s) for s in succ]
+        self.neighbors = [sorted(s | p) for s, p in zip(succ, pred)]
 
         # per atom, at microbatch 1 with checkpointing on: its compute time
-        # and its summary, whose input entries are shared between atoms
-        g = partition.graph
-        owner_of = partition.owner_of_value
-        entries: dict[str, tuple[int, int, int]] = {}
+        # and its summary, with its own reads resolved
         self.atom_comp: list[float] = []
         self._atoms: list[tuple] = []
         home_terms = _home_terms(partition, [(a,) for a in range(n)])
-        for atom, (params, _, shapes) in zip(partition.atoms, home_terms):
-            t_fwd, t_bwd, _, own_peak, reaching = _task_terms(
-                model, [(shape, 1) for shape in shapes], 1)
+        for a, (params, _, shapes) in enumerate(home_terms):
+            t_fwd, t_bwd, _, terms = _task_terms(model, [(shape, 1) for shape in shapes], 1)
             self.atom_comp.append(math.fsum(t for t, _ in t_fwd)
                                   + math.fsum(t for t, _ in t_bwd))
-            inputs = []
-            for vid in atom.input_values:
-                entry = entries.get(vid)
-                if entry is None:
-                    entry = entries[vid] = (len(entries), g.value_size(vid, 1),
-                                            -1 if vid in g.inputs else owner_of(vid))
-                inputs.append(entry)
-            peak, still_open = _peak(0, own_peak, reaching, ())
-            self._atoms.append((params, tuple(inputs), peak, tuple(still_open)))
+            peak, still_open = _peak(0, terms, (a,))
+            self._atoms.append((params, tuple(inputs[a]), peak, tuple(still_open)))
         # summaries of the groups that coarsening formed and that move checks
         # composed, exact for their key; cleared once refinement is over
         self.summaries: dict[tuple[int, ...], tuple] = {}
-
-        # (bytes, owner atom, foreign consumer atoms) of each value read
-        # outside its owner, and per atom the entries it owns or reads
-        self._value_traffic: list[tuple[int, int, tuple[int, ...]]] = []
-        self._touching: list[list[int]] = [[] for _ in range(n)]
-        for vid in g.value_ids():
-            consumers = partition.consumer_atoms(vid)
-            owner = owner_of(vid)
-            foreign = tuple(sorted(consumers - {owner}))
-            if foreign:
-                vi = len(self._value_traffic)
-                self._value_traffic.append((g.value_size(vid, 1), owner, foreign))
-                for a in (owner, *foreign):
-                    self._touching[a].append(vi)
 
     def rank(self, group: tuple[int, ...]) -> tuple[float, int]:
         """Merge order: cheapest compute first, ties by smallest atom."""
@@ -397,12 +395,13 @@ def _compact(glist: list[tuple[int, ...]], k: int, ctx: _Grouping) -> list[tuple
 class _TaskShape(NamedTuple):
     """What a task adds to the memory terms of its home (an atom or a block),
     independent of the microbatch; sizes are (fixed bytes, bytes per sample)
-    pairs. Parameters and graph inputs are in none of them."""
+    pairs. Parameters and graph inputs are in none of them. A read is keyed
+    by its owner's home, its own home included: `_peak` decides for every
+    read alike whether it joins the working set."""
 
     info: TaskInfo
-    produced: tuple             # non-parameter values it writes
-    local_reads: tuple          # values it reads that its home owns
-    foreign_reads: tuple        # (owner, fixed, per sample) of the others
+    produced: tuple             # (fixed, per sample) of the values it writes
+    reads: tuple                # (owner home, fixed, per sample) of those it reads
 
 
 def _home_terms(partition: AtomicPartition, homes) -> Iterator[tuple]:
@@ -410,32 +409,27 @@ def _home_terms(partition: AtomicPartition, homes) -> Iterator[tuple]:
     home (a tuple of atom indices): parameter bytes; source bytes, (fixed, per
     sample) of the non-parameter values with no producer that are not graph
     inputs some task reads (those live with their first reader), such as
-    constants; and each task's `_TaskShape`, with foreign reads keyed by home."""
+    constants; and each task's `_TaskShape`."""
     g = partition.graph
     home_of = _group_index(homes, len(partition.atoms))
     owner_of = partition.owner_of_value
 
     def sizes(vid):
         info = g.nodes[vid].value
-        return None if info.is_param else (info.fixed_bytes, info.bytes_per_sample)
+        if info.is_param or vid in g.inputs:
+            return None
+        return info.fixed_bytes, info.bytes_per_sample
 
-    for h, atoms in enumerate(homes):
+    for atoms in homes:
         params = fixed = per_sample = 0
         shapes: list[_TaskShape] = []
         for nid in (nid for a in atoms for nid in partition.atoms[a].node_ids):
             node = g.nodes[nid]
             if node.is_task:
                 produced = tuple(sz for sz in map(sizes, g.succ(nid)) if sz is not None)
-                local, foreign = [], []
-                for vid in g.pred(nid):
-                    sz = sizes(vid)
-                    if sz is not None and vid not in g.inputs:
-                        owner = home_of[owner_of(vid)]
-                        if owner == h:
-                            local.append(sz)
-                        else:
-                            foreign.append((owner, *sz))
-                shapes.append(_TaskShape(node.task, produced, tuple(local), tuple(foreign)))
+                reads = tuple((home_of[owner_of(vid)], *sz) for vid in g.pred(nid)
+                              if (sz := sizes(vid)) is not None)
+                shapes.append(_TaskShape(node.task, produced, reads))
             elif node.value.is_param:
                 params += node.value.fixed_bytes
             elif g.producer(nid) is None and not (nid in g.inputs and g.consumers(nid)):
@@ -460,15 +454,14 @@ def _task_terms(model: CostModel, classes: list[tuple[_TaskShape, int]], m: int)
     """The terms a home's tasks add to `CostModel.profile` at microbatch m,
     from (shape, count) pairs: (forward, count) and (backward, count)
     seconds per pair; the bytes they produce (a cost-table `act_bytes`
-    replaces a task's own); the largest checkpointing working set (produced
-    plus local reads) of the tasks that read nothing another home owns; and
-    (own working set, [(owner, bytes)]) of the others, whose foreign reads
-    join the working set only where their owner shares the task's group or
-    span. The last two are maxima, so a count does not enter them."""
+    replaces a task's own); and one checkpointing working-set term per
+    pair, (produced bytes, ((owner home, bytes), ...) of its reads), which
+    `_peak` resolves. A working set is a maximum, so a count does not enter
+    it."""
     t_fwd: list[tuple[float, int]] = []
     t_bwd: list[tuple[float, int]] = []
-    produced_total = own_peak = 0
-    reaching: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+    produced_total = 0
+    terms: list[tuple[int, tuple[tuple[int, int], ...]]] = []
     for shape, count in classes:
         tf, tb, produced = model.task_cost(shape.info, m)
         t_fwd.append((tf, count))
@@ -476,26 +469,24 @@ def _task_terms(model: CostModel, classes: list[tuple[_TaskShape, int]], m: int)
         if produced is None:
             produced = sum(f + m * s for f, s in shape.produced)
         produced_total += count * produced
-        own = produced + sum(f + m * s for f, s in shape.local_reads)
-        if shape.foreign_reads:
-            reaching.append((own, tuple([(ob, f + m * s) for ob, f, s in shape.foreign_reads])))
-        else:
-            own_peak = max(own_peak, own)
-    return t_fwd, t_bwd, produced_total, own_peak, reaching
+        terms.append((produced, tuple([(home, f + m * s) for home, f, s in shape.reads])))
+    return t_fwd, t_bwd, produced_total, terms
 
 
-def _peak(peak: int, own_peak: int, reaching, inside) -> tuple[int, list]:
-    """The one working-set rule: the larger of `peak` and a home's largest
-    task working set, which a foreign read joins only if its owner is
-    `inside` the group or span; any other read is an input of it.
+def _peak(peak: int, terms, inside) -> tuple[int, list]:
+    """The one working-set rule, and the only place a read resolves: the
+    larger of `peak` and the working sets of `terms`, which a read joins
+    only if its owner is `inside` the home, group or span; any other read
+    is an input of it. Each home resolves its own reads once, when its
+    terms are built; groups (`_union`) and spans (`peak_row`) then resolve
+    what is still open.
 
     Also returns the terms still open, each with the reads inside added to
     its working set and only the others left, which a merge that brings
     their owners inside resolves; a term that gained no read is kept as it
     is. A span only grows upward, so spans ignore them."""
-    peak = max(peak, own_peak)
     still_open = []
-    for term in reaching:
+    for term in terms:
         own, reads = term
         outside = []
         for read in reads:
@@ -524,7 +515,7 @@ def _union(summaries, inside) -> tuple:
         for entry in part_inputs:
             if entry[2] not in inside:
                 inputs[entry[0]] = entry
-        peak, part_open = _peak(peak, part_peak, part_open, inside)
+        peak, part_open = _peak(max(peak, part_peak), part_open, inside)
         still_open += part_open
     return params, tuple(inputs.values()), peak, tuple(still_open)
 
@@ -553,19 +544,20 @@ class _SpanTerms:
         t_fwd: list[list[float]] = []
         t_bwd: list[list[float]] = []
         self.resident = [0] * (n + 1)   # prefix sums, checkpointing off
-        # largest working set of a block's tasks that read nothing from an
-        # earlier block, and (own working set, earlier reads) of the others
-        self.own_peak: list[int] = []
-        self.reaching: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = []
+        # per block, its reads resolved: the largest working set closed
+        # within it, and the terms still reading from earlier blocks
+        self.peak: list[int] = []
+        self.open: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = []
         self._peak_rows: dict[int, list[int]] = {}
         for b, classes in enumerate(blocks._task_classes):
             fixed, per_sample = blocks._source_bytes[b]
-            tfs, tbs, produced, own_peak, reaching = _task_terms(model, classes, m)
+            tfs, tbs, produced, terms = _task_terms(model, classes, m)
             t_fwd.append(tfs)
             t_bwd.append(tbs)
             self.resident[b + 1] = self.resident[b] + fixed + m * per_sample + produced
-            self.own_peak.append(own_peak)
-            self.reaching.append(reaching)
+            peak, still_open = _peak(0, terms, (b,))
+            self.peak.append(peak)
+            self.open.append(still_open)
         self.fwd_denom, self.t_fwd = _exact_prefix(t_fwd)
         self.bwd_denom, self.t_bwd = _exact_prefix(t_bwd)
 
@@ -574,10 +566,10 @@ class _SpanTerms:
         from a block below lo is a span input, so it leaves the working set."""
         row = self._peak_rows.get(lo)
         if row is None:
-            n = len(self.own_peak)
+            n = len(self.peak)
             row = [0] * (n + 1)
             for b in range(lo, n):
-                row[b + 1] = _peak(row[b], self.own_peak[b], self.reaching[b], range(lo, n))[0]
+                row[b + 1] = _peak(max(row[b], self.peak[b]), self.open[b], range(lo, n))[0]
             self._peak_rows[lo] = row
         return row
 
@@ -586,8 +578,9 @@ class _SpanTerms:
 class BlockSet:
     """Blocks in dependency order as atom-index tuples; the rest is derived.
 
-    Raises ValueError unless every atom is in exactly one block and no block
-    reads a value that a later block owns."""
+    Raises ValueError unless every atom is in exactly one block, every block
+    holds at least one atom and no block reads a value that a later block
+    owns."""
 
     partition: AtomicPartition
     model: CostModel
@@ -597,6 +590,8 @@ class BlockSet:
         n = len(self.block_atoms)
         if sorted(itertools.chain(*self.block_atoms)) != list(range(len(self.partition.atoms))):
             raise ValueError("every atom must be in exactly one block")
+        if not all(self.block_atoms):
+            raise ValueError("every block must hold at least one atom")
         self._cut_fixed = [0] * (n + 1)
         self._cut_per_sample = [0] * (n + 1)
         # input bytes of span [lo, hi), fixed and per sample, indexed
@@ -606,13 +601,13 @@ class BlockSet:
         self._in_per_sample = [[0] * (n + 1) for _ in range(n)]
         block_of = _group_index(self.block_atoms, len(self.partition.atoms))
         g = self.partition.graph
-        for vid in g.value_ids():
-            owner = block_of[self.partition.owner_of_value(vid)]
-            readers = sorted({block_of[c] for c in self.partition.consumer_atoms(vid)})
-            if readers and readers[0] < owner and vid not in g.inputs:
+        for vid, (owner, readers) in self.partition.crossing.items():
+            owner = block_of[owner]
+            readers = sorted({block_of[a] for a in readers})
+            if readers[0] < owner and vid not in g.inputs:
                 raise ValueError(f"block {readers[0]} reads {vid!r} from the later "
                                  f"block {owner}; blocks must be in dependency order")
-            last = readers[-1] if readers else owner
+            last = readers[-1]
             info = g.nodes[vid].value
             for cut in range(owner + 1, last + 1):
                 self._cut_fixed[cut] += info.fixed_bytes
@@ -621,7 +616,7 @@ class BlockSet:
             # reader; any other value only by spans that start above its owner
             first = 0 if vid in g.inputs else owner + 1
             i = 0
-            for lo in range(first, last + 1 if readers else 0):
+            for lo in range(first, last + 1):
                 while readers[i] < lo:
                     i += 1
                 self._in_fixed[lo][readers[i] + 1] += info.fixed_bytes

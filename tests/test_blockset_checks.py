@@ -53,3 +53,18 @@ class TestBlockSetChecks:
         holder = p.owner_of_value("x")
         bs = BlockSet(p, model, ((1 - holder,), (holder,)))
         assert bs.profile(0, 1, 1, True) == model.profile(bs.blocks[0], 1, checkpointing=True)
+
+
+class TestEmptyBlock:
+    """Every block holds at least one atom: an empty block would list no
+    atoms in `blocks.json` and could take a zero-work stage of its own."""
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_an_empty_block_is_refused(self, bert, where):
+        # the other blocks are a valid cover, so only the empty one is wrong
+        p, model = bert
+        blocks = [tuple(range(11)), tuple(range(11, 23))]
+        blocks.insert(where, ())
+        with pytest.raises(ValueError, match="at least one atom"):
+            BlockSet(p, model, tuple(blocks))
+        assert len(BlockSet(p, model, (tuple(range(11)), tuple(range(11, 23))))) == 2
