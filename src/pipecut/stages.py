@@ -17,6 +17,17 @@ covers b <= nb - g blocks and d <= D - g devices, g = max(S_lo - s, 0).
 `form_stage_dp` runs a range of one S: the plain S-stage DP, which the
 brute-force enumerator cross-checks.
 
+A pass charges stages and builds a Pareto frontier only for live cells:
+those a later row reads (s < S_hi, b < nb and d < D) and the cell (nb, D)
+that ends a plan. Every other cell is dead: the rest of the last row, and
+in earlier rows the cells that have used every block or every device. A
+dead cell still counts its visits and meets the visit budget, and with
+pruning on it gets a reachability test: the same share, profile and
+memory rule, stopping at the first stage that fits, with no sends and no
+frontier. Its answer drives the pruning break exactly as an empty frontier
+would, so pruning, visits and the budget keep the meaning they have in a
+DP that builds every frontier.
+
 `stage_cost` is the one rule that charges a stage: its span's profile,
 composed from per-block terms (`BlockSet.profile`), at the per-device
 microbatch share, plus the forward send across its upper cut and the
@@ -119,7 +130,8 @@ class Plan:
 @dataclass
 class SearchStats:
     # candidate (predecessor cut, device split) pairs of every cell the DP
-    # passes scanned: (b-s+1)(d-s+1) for cell (s, b, d)
+    # passes scanned: (b-s+1)(d-s+1) for cell (s, b, d), dead cells
+    # included, though only live cells build a frontier
     visits: int = 0
     dp_calls: int = 0  # DP passes, each over a range of stage counts
 
@@ -253,6 +265,8 @@ def _run_pass(blocks: BlockSet, S_lo: int, S_hi: int, D: int, batch_size: int,
     # collapsing to one pair per cell loses exactness against enumeration.
     prev: dict[tuple[int, int], list[_Entry]] = {(0, 0): [(0.0, 0.0, -1, -1, None)]}
     plans: dict[int, Plan] = {}
+    # per-device share of a stage on d - dp devices, indexed by that width
+    shares = [0, *(_share(batch_size, MB, R, w) for w in range(1, D + 1))]
     for s in range(1, S_hi + 1):
         # the carried floor only speaks about single-stage prefixes; a finer
         # multi-stage split of the same prefix can fit where the one-stage
@@ -269,16 +283,29 @@ def _run_pass(blocks: BlockSet, S_lo: int, S_hi: int, D: int, batch_size: int,
                 stats.visits += (b - s + 1) * (d - s + 1)
                 if opts.visit_budget is not None and stats.visits > opts.visit_budget:
                     raise SearchBudgetExceeded(stats.visits, opts.visit_budget)
+                # a live cell: a later row reads it, or it ends a plan
+                live = (b, d) == (nb, D) or (s < S_hi and b < nb and d < D)
+                if not live and opts.disable_pruning:
+                    continue
                 cands: list[_Entry] = []
-                saw_zero_share = False
+                saw_zero_share = reached = False
                 for (bp, dp), entries in prev_cells:
-                    if bp >= b or dp >= d:
+                    if bp >= b:
+                        break
+                    if dp >= d:
                         continue
-                    m = _share(batch_size, MB, R, d - dp)
+                    m = shares[d - dp]
                     if m == 0:
                         # fewer devices would get a positive share back, so
                         # this failure does not persist toward smaller d
                         saw_zero_share = True
+                        continue
+                    if not live:
+                        # nothing reads a dead cell's frontier: the pruning
+                        # below only asks whether some stage reaches it
+                        reached = fits(blocks.profile(bp, b, m, ckpt).mem_bytes)
+                        if reached:
+                            break
                         continue
                     rec, fwd, bwd = stage_cost(blocks, bp, b, dp, d, m, ckpt)
                     if not fits(rec.mem_bytes):
@@ -289,7 +316,7 @@ def _run_pass(blocks: BlockSet, S_lo: int, S_hi: int, D: int, batch_size: int,
                         cands.append((max(entry[0], tf), max(entry[1], tb), bp, dp, entry))
                 if cands:
                     cur[(b, d)] = _pareto(cands)
-                elif not opts.disable_pruning and not saw_zero_share:
+                elif not reached and not opts.disable_pruning and not saw_zero_share:
                     # every candidate failed for a reason that persists when
                     # d shrinks (memory over budget, or an infeasible
                     # predecessor), so the rest of this d range is dead; for
