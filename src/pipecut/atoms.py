@@ -13,8 +13,9 @@ a group's inputs are the values its tasks read that are model inputs or
 owned outside the group, and its outputs are the values it owns that are
 model outputs or read outside it. The values that can cross a boundary are
 listed once (`AtomicPartition.crossing`): every value some atom takes as an
-input, with its owner atom and its reader atoms. The atom dependencies, a
-group's outputs and the block phase all read that table.
+input, with its owner atom and its reader atoms. The atom dependencies
+(`AtomicPartition.dependencies`, the block phase's adjacency), a group's
+outputs and the block phase's input entries and traffic table read it.
 """
 
 from __future__ import annotations

@@ -123,31 +123,29 @@ class _Grouping:
         n = len(partition.atoms)
         self.n_atoms = n
         g = partition.graph
-        # one pass over the crossing table: the atom dependencies; each
-        # atom's input entries, shared between atoms; and the (bytes, owner
-        # atom, foreign reader atoms) of each value read outside its owner,
-        # with per atom the traffic entries it owns or reads
-        succ: list[set[int]] = [set() for _ in range(n)]
-        pred: list[set[int]] = [set() for _ in range(n)]
+        # the atom dependencies, sorted, as successor and neighbor lists
+        self.succ: list[list[int]] = [[] for _ in range(n)]
+        pred: list[list[int]] = [[] for _ in range(n)]
+        for a, b in partition.dependencies():
+            self.succ[a].append(b)
+            pred[b].append(a)
+        self.neighbors = [sorted({*s, *p}) for s, p in zip(self.succ, pred)]
+        # one pass over the crossing table: each atom's input entries, shared
+        # between atoms, and the (bytes, owner, foreign readers) of each value
+        # read outside its owner, with per atom the traffic entries it touches
         inputs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         self._value_traffic: list[tuple[int, int, tuple[int, ...]]] = []
         self._touching: list[list[int]] = [[] for _ in range(n)]
         for vi, (vid, (owner, readers)) in enumerate(partition.crossing.items()):
-            size, is_input = g.value_size(vid, 1), vid in g.inputs
-            entry = (vi, size, -1 if is_input else owner)
+            size = g.value_size(vid, 1)
+            entry = (vi, size, -1 if vid in g.inputs else owner)
             for a in readers:
                 inputs[a].append(entry)
-            if not is_input:
-                succ[owner].update(readers)
-                for a in readers:
-                    pred[a].add(owner)
             foreign = tuple(a for a in readers if a != owner)
             if foreign:
                 for a in (owner, *foreign):
                     self._touching[a].append(len(self._value_traffic))
                 self._value_traffic.append((size, owner, foreign))
-        self.succ = [sorted(s) for s in succ]
-        self.neighbors = [sorted(s | p) for s, p in zip(succ, pred)]
 
         # per atom, at microbatch 1 with checkpointing on: its compute time
         # and its summary, with its own reads resolved

@@ -191,8 +191,7 @@ def cmd_partition(args) -> int:
     _check_out_dir(args.out)
     cluster, blocks = _load_blocks(args)
     opts = SearchOptions(disable_pruning=args.disable_pruning)
-    result = form_stage(cluster.num_nodes, cluster.devices_per_node,
-                        args.batch_size, blocks, opts)
+    result = form_stage(args.batch_size, blocks, opts)
     if result.plan is None:
         print("infeasible: no stage assignment fits this cluster",
               file=sys.stderr)
@@ -288,8 +287,8 @@ def _int_list(text: str, flag: str) -> list[int]:
     return values
 
 
-def _pure_data_parallel_ok(blocks: BlockSet, total_devices: int,
-                           batch_size: int) -> bool:
+def _pure_data_parallel_ok(blocks: BlockSet, batch_size: int) -> bool:
+    total_devices = blocks.model.cluster.num_devices
     mb = 1
     while mb * total_devices <= batch_size:
         plan = form_stage_dp(blocks, 1, 1, batch_size, total_devices, mb).plan
@@ -311,12 +310,14 @@ def cmd_sweep(args) -> int:
     layer_counts = _int_list(args.layers, "--layers")
     cluster = load_cluster(args.cluster)
     model_cfg = _cost_config(args)
-    # a path not ending in .csv is a directory; either way the directory
-    # that holds the CSV is made before planning, as partition makes --out
+    # a path not ending in .csv is a directory; either way the CSV's directory
+    # is checked as partition checks --out, and made, before planning
     out_path = args.out or "."
     if os.path.isdir(out_path) or not out_path.endswith(".csv"):
         out_path = os.path.join(out_path, "sweep.csv")
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
+    out_dir = os.path.dirname(out_path) or "."
+    _check_out_dir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
 
     rows = []
     any_ok = False
@@ -333,11 +334,9 @@ def cmd_sweep(args) -> int:
                 rows.append(row)
                 continue
             row["data_parallel"] = (
-                "ok" if _pure_data_parallel_ok(blocks, cluster.num_devices,
-                                               args.batch_size)
+                "ok" if _pure_data_parallel_ok(blocks, args.batch_size)
                 else "INFEASIBLE")
-            plan = form_stage(cluster.num_nodes, cluster.devices_per_node,
-                              args.batch_size, blocks).plan
+            plan = form_stage(args.batch_size, blocks).plan
             if plan is None:
                 row["status"] = "INFEASIBLE"
             else:

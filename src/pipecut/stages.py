@@ -6,9 +6,11 @@ slowest backward stage time, including the transfer of boundary values, via
 a dynamic program over (stages so far, blocks covered, devices spent). A
 search on top picks the replica factor R (largest first of those dividing the
 node count), stage count, and microbatch count, ranking complete plans by
-replayed iteration time. Device d sits on node d // devices_per_node: a send
-after cumulative device c crosses nodes when devices c - 1 and c do, and a
-stage's gradient sync when its first and last devices do, or when R > 1.
+replayed iteration time. The search, the sends and the replay all read the
+cluster shape from the block set (`blocks.model.cluster`), and place devices
+by one node rule: device d sits on node d // devices_per_node, a send after
+cumulative device c crosses nodes when devices c - 1 and c do, and a stage's
+gradient sync when its first and last devices do, or when R > 1.
 
 The stage count is a dimension of the table, as in Alpa's inter-operator DP
 (arXiv 2201.12023) and PipeDream's partitioner: one pass (`_run_pass`)
@@ -390,34 +392,34 @@ def brute_force_partition(blocks: BlockSet, S: int, D: int, batch_size: int,
     return SearchResult(plan, stats)
 
 
-def form_stage(num_nodes: int, devices_per_node: int, batch_size: int,
-               blocks: BlockSet,
+def form_stage(batch_size: int, blocks: BlockSet,
                options: SearchOptions | None = None) -> SearchResult:
     """Search replica factor, stage count, and microbatch count together.
 
-    Levels are the replica factors R <= batch_size that divide num_nodes,
-    largest first, each with num_nodes/R nodes per pipeline. Each level runs
-    one DP pass per microbatch count over its stage counts; with checkpointing
+    The cluster is the block set's (`blocks.model.cluster`). Levels are the
+    replica factors R <= batch_size that divide its node count, largest
+    first, each with node count / R nodes per pipeline. Each level runs one
+    DP pass per microbatch count over its stage counts; with checkpointing
     on, a single stage, which drops it, gets a pass of its own. The first
     level with any feasible assignment wins; within it, candidates are checked
     with `validate_plan` and ranked by replayed iteration time, then objective,
     then fewer microbatches, then (stage count, microbatch count) order.
     """
-    if num_nodes < 1 or devices_per_node < 1 or batch_size < 1:
-        raise InvalidArgs("node count, devices per node and batch size must be "
-                          "at least 1")
+    if batch_size < 1:
+        raise InvalidArgs("batch size must be at least 1")
+    cluster = blocks.model.cluster
     opts = options or SearchOptions()
     stats = SearchStats()
     nb = len(blocks)
-    for R in range(min(num_nodes, batch_size), 0, -1):
-        if num_nodes % R == 0:
-            n = num_nodes // R
-            D = devices_per_node * n
+    for R in range(min(cluster.num_nodes, batch_size), 0, -1):
+        if cluster.num_nodes % R == 0:
+            n = cluster.num_nodes // R
+            D = cluster.devices_per_node * n
             S_last = min(D, nb)
             found: list[tuple[int, int, Plan]] = []
             MB = 1
             while MB * R <= batch_size:
-                S_first = max(devices_per_node * (n - 1) + 1,
+                S_first = max(cluster.devices_per_node * (n - 1) + 1,
                               _fewest_stages(D, batch_size, MB, R))
                 ranges = [(S_first, S_last)]
                 if blocks.model.config.checkpointing and S_first == 1:

@@ -223,8 +223,7 @@ def test_criterion_5_block_search_scale():
     model = CostModel(part.graph, CostModelConfig(), cluster)
     blocks = partition_blocks(part, model, SCALE_K)
     t0 = time.monotonic()
-    res = form_stage(cluster.num_nodes, cluster.devices_per_node,
-                     SCALE_BATCH, blocks)
+    res = form_stage(SCALE_BATCH, blocks)
     elapsed = time.monotonic() - t0
     assert res.plan is not None
     PLANS.append((res.plan, blocks))
@@ -234,8 +233,7 @@ def test_criterion_5_block_search_scale():
     atom_blocks = partition_blocks(part, model, len(part.atoms))
     BLOCKSETS.append(atom_blocks)
     with pytest.raises(SearchBudgetExceeded) as err:
-        form_stage(cluster.num_nodes, cluster.devices_per_node, SCALE_BATCH,
-                   atom_blocks, options=SearchOptions(visit_budget=budget))
+        form_stage(SCALE_BATCH, atom_blocks, options=SearchOptions(visit_budget=budget))
     ok = elapsed < SCALE_TIME_LIMIT_SEC and err.value.visits > budget
     _verdict(5, "block search scale", ok,
              f"{SCALE_K}-block search took {elapsed:.1f}s "

@@ -64,7 +64,7 @@ def planned(g, cluster, ckpt, table, batch, k):
         blocks = partition_blocks(p, model, k=k)
     except (InfeasibleAtom, CompactionStuck) as exc:
         return type(exc), None, None
-    plan = form_stage(cluster.num_nodes, cluster.devices_per_node, batch, blocks).plan
+    plan = form_stage(batch, blocks).plan
     if plan is None:
         return blocks.block_atoms, None, None
     assert all(st.replicas <= 2 for st in plan.stages)

@@ -80,6 +80,20 @@ class TestOutIsAFile:
         assert captured.err == f"error: --out {out_file} exists and is not a directory\n"
         assert out_file.read_text() == "keep"
 
+    @pytest.mark.parametrize("suffix", ["", "/x.csv"])
+    def test_sweep_stops_before_planning(self, tmp_path, capsys, monkeypatch, suffix):
+        # a directory name or a CSV path under it: either way the CSV's
+        # directory is the file F
+        out_file = tmp_path / "F"
+        out_file.write_text("keep")
+        monkeypatch.setattr(cli, "_plan_blocks", lambda *args: pytest.fail("graph planned"))
+        assert main(["sweep", "--cluster", write_cluster(tmp_path / "c.json"), *SWEEP,
+                     "--batch-size", "8", "--out", f"{out_file}{suffix}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out {out_file} exists and is not a directory\n"
+        assert out_file.read_text() == "keep"
+
     def test_simulate_with_gantt_stops_before_replay(self, inputs, tmp_path, capsys):
         plan = tmp_path / "run" / "plan.json"
         assert main(["partition", *inputs, "--out", str(plan.parent)]) == 0

@@ -12,7 +12,8 @@ import pipecut
 from pipecut.cli import main
 from pipecut.costs import load_cost_table
 from pipecut.generators import gen_bert_like
-from pipecut.graph import ParseError, ValidationError, graph_from_json, graph_to_json, save_graph
+from pipecut.graph import (ClusterSpec, ParseError, ValidationError, graph_from_json,
+                           graph_to_json, save_graph)
 from pipecut.stages import Plan, brute_force_partition, form_stage_dp
 
 from test_cli import write_cluster
@@ -223,6 +224,27 @@ class TestClusterNumbers:
         assert main(["partition", "--graph", str(graph), "--cluster", str(cluster),
                      "--out", str(tmp_path / "out")]) == 1
         assert f"cluster {field}" in one_error_line(capsys)
+
+
+class TestZeroCountClusters:
+    """`ClusterSpec` is the one guard on the cluster shape: stage search
+    reads the shape from the block set and checks no count of its own."""
+
+    @pytest.mark.parametrize("nodes, dpn", [(0, 1), (1, 0)])
+    def test_cluster_spec_rejects_zero(self, nodes, dpn):
+        with pytest.raises(ValueError, match="at least one node and one device"):
+            ClusterSpec(nodes, dpn, 2**34, 50e9, 10e9)
+
+    @pytest.mark.parametrize("nodes, dpn", [(0, 1), (1, 0)])
+    def test_partition_rejects_zero(self, tmp_path, capsys, nodes, dpn):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps(chain_doc()))
+        out = tmp_path / "out"
+        assert main(["partition", "--graph", str(graph), "--cluster",
+                     write_cluster(tmp_path / "c.json", nodes=nodes, dpn=dpn),
+                     "--out", str(out)]) == 1
+        assert "at least one node and one device" in one_error_line(capsys)
+        assert not out.exists()
 
 
 class TestCounts:

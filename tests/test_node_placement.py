@@ -58,8 +58,7 @@ class TestPipelineWidths:
         # 3-node pipelines are the narrowest that fit; 12 nodes try them
         # before 4-node ones, and 15 nodes skip the 15 replicas that 12
         # samples cannot feed
-        plan = form_stage(num_nodes, 1, 12, small_device_blocks(bert_1024x24,
-                                                                num_nodes)).plan
+        plan = form_stage(12, small_device_blocks(bert_1024x24, num_nodes)).plan
         assert plan.replica_factor == replica_factor
         assert plan.devices_total == num_nodes // replica_factor == 3
 

@@ -77,7 +77,7 @@ class TestSpanProfileCache:
 
         monkeypatch.setattr(CostModel, "profile", walking)
         monkeypatch.setattr(_SpanTerms, "__init__", building)
-        plan = form_stage(2, 2, 16, bs).plan
+        plan = form_stage(16, bs).plan
         assert plan is not None
         assert validate_plan(plan, bs) == []
         simulate(plan, bs)

@@ -73,7 +73,7 @@ class TestLiveCells:
     def test_form_stage_charges_only_live_cells(self, monkeypatch):
         charges = record_charges(monkeypatch)
         for (bs, nodes, dpn, batch, _), no_pruning in corpus(2024, 150):
-            form_stage(nodes, dpn, batch, bs, SearchOptions(disable_pruning=no_pruning))
+            form_stage(batch, bs, SearchOptions(disable_pruning=no_pruning))
         assert len(charges) > 1000
         for nb, D, hi, d1 in charges:
             assert (hi, d1) == (nb, D) or (hi < nb and d1 < D), (nb, D, hi, d1)
@@ -103,7 +103,7 @@ class TestLiveCells:
 
 class TestVisitsAndBudget:
     def test_visits_are_pinned(self):
-        got = tuple(form_stage(nodes, dpn, batch, bs).stats.visits
+        got = tuple(form_stage(batch, bs).stats.visits
                     for (bs, nodes, dpn, batch, _), _ in corpus(2024, 150))
         assert got == VISITS
 
@@ -113,12 +113,12 @@ class TestVisitsAndBudget:
         for (bs, nodes, dpn, batch, tight), i in zip(draws, DEAD_BREAK_DRAWS):
             assert tight
             visits = VISITS[i]
-            unpruned = form_stage(nodes, dpn, batch, bs,
+            unpruned = form_stage(batch, bs,
                                   SearchOptions(disable_pruning=True))
             assert unpruned.stats.visits > visits  # a break fired
             with pytest.raises(SearchBudgetExceeded) as exc:
-                form_stage(nodes, dpn, batch, bs, SearchOptions(visit_budget=visits - 1))
+                form_stage(batch, bs, SearchOptions(visit_budget=visits - 1))
             assert (exc.value.visits, exc.value.budget) == (visits, visits - 1)
-            result = form_stage(nodes, dpn, batch, bs, SearchOptions(visit_budget=visits))
+            result = form_stage(batch, bs, SearchOptions(visit_budget=visits))
             assert result.stats.visits == visits
-            assert result.plan == form_stage(nodes, dpn, batch, bs).plan
+            assert result.plan == form_stage(batch, bs).plan

@@ -105,7 +105,7 @@ class TestAgainstPerStageCountSearch:
         for _ in range(150):
             bs, nodes, dpn, batch, tight = random_case(rng)
             opts = SearchOptions(disable_pruning=rng.random() < 0.5)
-            got = form_stage(nodes, dpn, batch, bs, opts).plan
+            got = form_stage(batch, bs, opts).plan
             want = reference_form_stage(nodes, dpn, batch, bs, opts)
             assert got == want
             if want is None:
@@ -162,7 +162,7 @@ class TestProfileMemo:
 
         monkeypatch.setattr(BlockSet, "profile", profiling)
         monkeypatch.setattr(blocks_mod, "CostRecord", record)
-        plan = form_stage(2, 2, 16, bs).plan
+        plan = form_stage(16, bs).plan
         assert plan is not None
         assert validate_plan(plan, bs) == []
         simulate(plan, bs)

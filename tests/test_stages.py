@@ -336,7 +336,7 @@ class TestValidatePlan:
 class TestFormStage:
     def test_single_device_cluster(self):
         bs = blockset_for(stage_chain([1.0, 1.0]), nodes=1, dpn=1)
-        res = form_stage(1, 1, 4, bs)
+        res = form_stage(4, bs)
         plan = res.plan
         assert plan is not None
         assert plan.replica_factor == 1
@@ -347,7 +347,7 @@ class TestFormStage:
     def test_prefers_pure_data_parallel_when_model_fits(self):
         g = stage_chain([1.0, 1.0], params=[64, 64])
         bs = blockset_for(g, nodes=2, dpn=1)
-        plan = form_stage(2, 1, 8, bs).plan
+        plan = form_stage(8, bs).plan
         assert plan is not None
         assert plan.replica_factor == 2
         assert len(plan.stages) == 1
@@ -355,7 +355,7 @@ class TestFormStage:
     def test_widens_pipeline_when_memory_forces_it(self):
         g = stage_chain([1.0] * 4, params=[1000] * 4)
         bs = blockset_for(g, mem=12000, nodes=2, dpn=1)
-        plan = form_stage(2, 1, 4, bs).plan
+        plan = form_stage(4, bs).plan
         assert plan is not None
         assert plan.replica_factor == 1
         assert len(plan.stages) == 2
@@ -364,34 +364,32 @@ class TestFormStage:
     def test_infeasible_everywhere(self):
         g = stage_chain([1.0] * 4, params=[1000] * 4)
         bs = blockset_for(g, mem=4500, nodes=2, dpn=1)
-        res = form_stage(2, 1, 4, bs)
+        res = form_stage(4, bs)
         assert res.plan is None
         assert res.stats.dp_calls > 0
 
     def test_budget_propagates(self):
         bs = blockset_for(stage_chain([1.0] * 4), nodes=1, dpn=2)
         with pytest.raises(SearchBudgetExceeded):
-            form_stage(1, 2, 8, bs, SearchOptions(visit_budget=2))
+            form_stage(8, bs, SearchOptions(visit_budget=2))
 
     def test_rejects_bad_arguments(self):
         bs = blockset_for(stage_chain([1.0, 1.0]))
         with pytest.raises(InvalidArgs):
-            form_stage(0, 1, 4, bs)
-        with pytest.raises(InvalidArgs):
-            form_stage(1, 1, 0, bs)
+            form_stage(0, bs)
 
     def test_plans_validate_cleanly(self):
         g = stage_chain([2.0, 1.0, 1.0, 2.0], sizes=[64] * 4,
                         params=[128] * 4)
         bs = blockset_for(g, nodes=2, dpn=2, bw=(1e6, 5e5))
-        plan = form_stage(2, 2, 16, bs).plan
+        plan = form_stage(16, bs).plan
         assert plan is not None
         assert validate_plan(plan, bs) == []
 
     def test_deterministic(self):
         g = stage_chain([2.0, 1.0, 1.0, 2.0], sizes=[64] * 4)
         bs = blockset_for(g, nodes=2, dpn=2)
-        a = form_stage(2, 2, 16, bs)
-        b = form_stage(2, 2, 16, bs)
+        a = form_stage(16, bs)
+        b = form_stage(16, bs)
         assert a.plan == b.plan
         assert a.stats.visits == b.stats.visits

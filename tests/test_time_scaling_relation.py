@@ -70,7 +70,7 @@ def planned(g, cluster, ckpt, table, batch, k):
     model = CostModel(p.graph, CostModelConfig(checkpointing=ckpt, cost_table=table),
                       cluster)
     blocks = partition_blocks(p, model, k=k)
-    plan = form_stage(cluster.num_nodes, cluster.devices_per_node, batch, blocks).plan
+    plan = form_stage(batch, blocks).plan
     return blocks, plan, None if plan is None else replay(plan, blocks)[0]
 
 
