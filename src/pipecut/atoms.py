@@ -11,19 +11,21 @@ shared support nodes and their edges change.
 Atoms and their unions share one boundary rule (`AtomicPartition.merged`):
 a group's inputs are the values its tasks read that are model inputs or
 owned outside the group, and its outputs are the values it owns that are
-model outputs or read outside it. The values that can cross a boundary are
-listed once (`AtomicPartition.crossing`): every value some atom takes as an
-input, with its owner atom and its reader atoms. The atom dependencies
-(`AtomicPartition.dependencies`, the block phase's adjacency), a group's
-outputs and the block phase's input entries and traffic table read it.
+model outputs or read outside it. The partition keeps two tables, built
+once. `crossing` lists every value some atom takes as an input, with its
+owner atom and its reader atoms; the atom dependencies (the block phase's
+adjacency), a group's outputs and the block phase's input entries and
+traffic table read it. `terms` holds each atom's byte terms, built in the
+walk that assigns owners, and the block phase's memory terms come from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
+from typing import NamedTuple
 
-from .graph import Node, TaskGraph
+from .graph import Node, TaskGraph, TaskInfo
 
 
 class NoNonConstantTask(ValueError):
@@ -42,6 +44,16 @@ class Subcomponent:
     node_ids: frozenset[str]
     input_values: tuple[str, ...]
     output_values: tuple[str, ...]
+
+
+class TaskShape(NamedTuple):
+    """What a task adds to the memory terms of its home (an atom or a block)
+    at any microbatch; sizes are (fixed bytes, bytes per sample) pairs, and
+    parameters and graph inputs are in none of them."""
+
+    info: TaskInfo
+    produced: tuple             # (fixed, per sample) of the values it writes
+    reads: tuple                # (owner home, fixed, per sample) of those it reads
 
 
 def mark_constant_tasks(g: TaskGraph) -> dict[str, bool]:
@@ -101,15 +113,41 @@ class AtomicPartition:
     clone_origins: dict[str, str]
 
     def __post_init__(self) -> None:
+        g = self.graph
         self._task_atom: dict[str, int] = {}
         self._value_owner: dict[str, int] = {}
+        # per atom: parameter bytes; (fixed, per sample) source bytes of the
+        # non-parameter values with no producer that are not graph inputs
+        # some task reads, such as constants; and each task's `TaskShape`
+        self.terms: list[tuple[int, tuple[int, int], tuple[TaskShape, ...]]] = []
+
+        def sizes(vid):
+            info = g.nodes[vid].value
+            if info.is_param or vid in g.inputs:
+                return None
+            return info.fixed_bytes, info.bytes_per_sample
+
         for idx, atom in enumerate(self.atoms):
+            params = fixed = per_sample = 0
+            shapes = []
             for nid in atom.node_ids:
-                node = self.graph.nodes[nid]
+                node = g.nodes[nid]
                 if node.is_task:
                     self._task_atom[nid] = idx
-                else:
-                    self._value_owner[nid] = idx
+                    # atoms are in topological order, so a value read here
+                    # that has no owner yet is owned by this atom
+                    produced = tuple(sz for sz in map(sizes, g.succ(nid)) if sz is not None)
+                    reads = tuple((self._value_owner.get(vid, idx), *sz) for vid in g.pred(nid)
+                                  if (sz := sizes(vid)) is not None)
+                    shapes.append(TaskShape(node.task, produced, reads))
+                    continue
+                self._value_owner[nid] = idx
+                if node.value.is_param:
+                    params += node.value.fixed_bytes
+                elif g.producer(nid) is None and not (nid in g.inputs and g.consumers(nid)):
+                    fixed += node.value.fixed_bytes
+                    per_sample += node.value.bytes_per_sample
+            self.terms.append((params, (fixed, per_sample), tuple(shapes)))
         # value id -> (owner atom, sorted reader atoms) of every value some
         # atom takes as an input, in value-id order: all readers of a graph
         # input, the readers other than the owner of any other value
@@ -238,6 +276,6 @@ def _assemble(graph, anchors, local_id, clone_origins) -> AtomicPartition:
     width = max(5, len(str(len(anchors))))
     p = AtomicPartition(graph, tuple(Subcomponent(f"A{idx:0{width}d}", frozenset(m), (), ())
                                      for idx, m in enumerate(members)), clone_origins)
-    # the owner tables read only node sets, so they hold for the final atoms
+    # owner tables and terms read only node sets, so they hold for the final atoms
     p.atoms = tuple(p.merged([idx], atom.id) for idx, atom in enumerate(p.atoms))
     return p

@@ -10,24 +10,24 @@ list-adjacent groups whenever coarsening stalled short of the target.
 
 Every group must fit device memory (`CostModel.fits`) at microbatch 1 with
 checkpointing on, the floor any later stage assignment has to clear too.
-One walk (`_home_terms`) gives the terms of a home, an atom or a block:
-parameter bytes, source bytes, and each task's working set with every read
-keyed by its owner's home. One rule (`_peak`) resolves a read: it joins the
-working set if its owner is inside the home, group or span, and is an input
-otherwise. Each home resolves its own reads once, when its terms are built,
-and groups and spans resolve the rest. A group's memory terms are kept as a
-summary, and a merge composes the summaries of its two sides (`_union`)
-instead of walking every member. The result equals `CostModel.profile` on the
-merged group, which only tests run. Coarsening keeps the summary of every
-group it forms, and a move check keeps those of the groups it would grow and
-shrink, so refinement composes each summary from kept ones and never walks
-or rebuilds a group.
+Memory terms come from each atom's terms (`AtomicPartition.terms`), and a
+block's are its atoms' with each read keyed by its owner's block. One rule
+(`_peak`) resolves a read: it joins the working set if its owner is inside
+the home (atom or block), group or span, and is an input otherwise. Each
+home resolves its own reads once, when its terms are built, and groups and
+spans resolve the rest. A group's memory terms are kept as a summary, and a
+merge composes the summaries of its two sides (`_union`) instead of walking
+every member. The result equals `CostModel.profile` on the merged group,
+which only tests run. Coarsening keeps the summary of every group it forms,
+and a move check keeps those of the groups it would grow and shrink, so
+refinement composes each summary from kept ones and never walks or rebuilds
+a group.
 A candidate move is scored by its traffic gain over only the values the
 mover's atoms own or read, the Fiduccia-Mattheyses gain (1982), which equals
 the difference of two whole-graph recounts. `BlockSet` holds the span
 profiles and boundary bytes that stage search, plan checking and replay
 share; `stages` turns boundary bytes into send times. Adjacency, inputs,
-traffic, cut bytes and span inputs all come from the partition's table of
+traffic, cut bytes and span inputs come from the partition's table of
 values that cross between atoms (`AtomicPartition.crossing`).
 
 `BlockSet.profile` composes a span's `CostRecord` from per-block terms in
@@ -49,11 +49,9 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
-from .atoms import AtomicPartition, Subcomponent
+from .atoms import AtomicPartition, Subcomponent, TaskShape
 from .costs import CostModel, CostRecord, op_signature
-from .graph import TaskInfo
 
 
 class InfeasibleAtom(Exception):
@@ -108,8 +106,8 @@ def is_convex(group, succ) -> bool:
 class _Grouping:
     """Shared state for the four phases: adjacency, costs, feasibility.
 
-    Group memory and move gains are composed from per-atom terms built once
-    here, so neither walks the graph or materializes a subcomponent. A
+    Group memory and move gains are composed from per-atom summaries built
+    once here, so neither walks the graph or materializes a subcomponent. A
     group's memory terms are a summary, a tuple of: parameter bytes; its
     inputs, the (value index, bytes, owner atom or -1 for a graph input)
     entries of the values it reads from outside, each value once; the
@@ -151,8 +149,7 @@ class _Grouping:
         # and its summary, with its own reads resolved
         self.atom_comp: list[float] = []
         self._atoms: list[tuple] = []
-        home_terms = _home_terms(partition, [(a,) for a in range(n)])
-        for a, (params, _, shapes) in enumerate(home_terms):
+        for a, (params, _, shapes) in enumerate(partition.terms):
             t_fwd, t_bwd, _, terms = _task_terms(model, [(shape, 1) for shape in shapes], 1)
             self.atom_comp.append(math.fsum(t for t, _ in t_fwd)
                                   + math.fsum(t for t, _ in t_bwd))
@@ -390,65 +387,22 @@ def _compact(glist: list[tuple[int, ...]], k: int, ctx: _Grouping) -> list[tuple
     return glist
 
 
-class _TaskShape(NamedTuple):
-    """What a task adds to the memory terms of its home (an atom or a block),
-    independent of the microbatch; sizes are (fixed bytes, bytes per sample)
-    pairs. Parameters and graph inputs are in none of them. A read is keyed
-    by its owner's home, its own home included: `_peak` decides for every
-    read alike whether it joins the working set."""
-
-    info: TaskInfo
-    produced: tuple             # (fixed, per sample) of the values it writes
-    reads: tuple                # (owner home, fixed, per sample) of those it reads
-
-
-def _home_terms(partition: AtomicPartition, homes) -> Iterator[tuple]:
-    """The one walk over a home's nodes, for atoms and blocks alike. Yields per
-    home (a tuple of atom indices): parameter bytes; source bytes, (fixed, per
-    sample) of the non-parameter values with no producer that are not graph
-    inputs some task reads (those live with their first reader), such as
-    constants; and each task's `_TaskShape`."""
-    g = partition.graph
-    home_of = _group_index(homes, len(partition.atoms))
-    owner_of = partition.owner_of_value
-
-    def sizes(vid):
-        info = g.nodes[vid].value
-        if info.is_param or vid in g.inputs:
-            return None
-        return info.fixed_bytes, info.bytes_per_sample
-
-    for atoms in homes:
-        params = fixed = per_sample = 0
-        shapes: list[_TaskShape] = []
-        for nid in (nid for a in atoms for nid in partition.atoms[a].node_ids):
-            node = g.nodes[nid]
-            if node.is_task:
-                produced = tuple(sz for sz in map(sizes, g.succ(nid)) if sz is not None)
-                reads = tuple((home_of[owner_of(vid)], *sz) for vid in g.pred(nid)
-                              if (sz := sizes(vid)) is not None)
-                shapes.append(_TaskShape(node.task, produced, reads))
-            elif node.value.is_param:
-                params += node.value.fixed_bytes
-            elif g.producer(nid) is None and not (nid in g.inputs and g.consumers(nid)):
-                fixed += node.value.fixed_bytes
-                per_sample += node.value.bytes_per_sample
-        yield params, (fixed, per_sample), shapes
-
-
-def _task_classes(shapes: list[_TaskShape]) -> list[tuple[_TaskShape, int]]:
-    """(shape, count) per class of tasks that add the same terms at every
-    microbatch: same op signature, FLOPs and sizes. The signature, not
-    `TaskInfo` equality, decides, since `{"n": 1} == {"n": 1.0}` while their
-    signatures, and so their cost-table entries, differ."""
+def _task_classes(terms, block_of) -> list[tuple[TaskShape, int]]:
+    """(shape, count) per class of the tasks in these atom terms, each read
+    keyed by its owner's block: tasks that add the same terms at every
+    microbatch, with the same op signature, FLOPs and sizes. The signature,
+    not `TaskInfo` equality, decides, since `{"n": 1} == {"n": 1.0}` while
+    their signatures, and so their cost-table entries, differ."""
     classes: dict[tuple, list] = {}
-    for shape in shapes:
-        key = (op_signature(shape.info, 0), shape.info.flops_per_sample, *shape[1:])
-        classes.setdefault(key, [shape, 0])[1] += 1
+    for _, _, shapes in terms:
+        for info, produced, reads in shapes:
+            keyed = tuple([(block_of[owner], f, s) for owner, f, s in reads])
+            key = (op_signature(info, 0), info.flops_per_sample, produced, keyed)
+            classes.setdefault(key, [TaskShape(info, produced, keyed), 0])[1] += 1
     return [(shape, count) for shape, count in classes.values()]
 
 
-def _task_terms(model: CostModel, classes: list[tuple[_TaskShape, int]], m: int):
+def _task_terms(model: CostModel, classes: list[tuple[TaskShape, int]], m: int):
     """The terms a home's tasks add to `CostModel.profile` at microbatch m,
     from (shape, count) pairs: (forward, count) and (backward, count)
     seconds per pair; the bytes they produce (a cost-table `act_bytes`
@@ -625,14 +579,16 @@ class BlockSet:
         self._terms: dict[int, _SpanTerms] = {}  # by microbatch size
         self._profiles: dict[tuple[int, int, int, bool], CostRecord] = {}
         self._params = [0]
-        # per block: (fixed, per sample) of its source values, resident with
-        # checkpointing off, and (shape, count) of each class of its tasks
+        # per block, from its atoms' terms: source bytes (fixed, per sample),
+        # resident with checkpointing off, and (shape, count) per task class
         self._source_bytes: list[tuple[int, int]] = []
-        self._task_classes: list[list[tuple[_TaskShape, int]]] = []
-        for params, source, shapes in _home_terms(self.partition, self.block_atoms):
-            self._params.append(self._params[-1] + params)
-            self._source_bytes.append(source)
-            self._task_classes.append(_task_classes(shapes))
+        self._task_classes: list[list[tuple[TaskShape, int]]] = []
+        for atoms in self.block_atoms:
+            terms = [self.partition.terms[a] for a in atoms]
+            sources = [source for _, source, _ in terms]
+            self._params.append(self._params[-1] + sum(params for params, _, _ in terms))
+            self._source_bytes.append((sum(f for f, _ in sources), sum(s for _, s in sources)))
+            self._task_classes.append(_task_classes(terms, block_of))
 
     def __len__(self) -> int:
         return len(self.block_atoms)

@@ -33,9 +33,10 @@ from .graph import (
     save_graph,
     validate_graph,  # noqa: F401  wrapped by name in perfbench/tracer.py
 )
-from .simulate import InvalidPlan, render_gantt, simulate
+from .simulate import render_gantt, simulate
 from .stages import (
     InvalidArgs,
+    InvalidPlan,
     Plan,
     SearchOptions,
     TooLarge,
@@ -135,9 +136,13 @@ def _require(args, *names: str) -> None:
 
 
 def _check_out_dir(path: str) -> None:
-    """Fail before any work on an --out that is a file; make no directory."""
-    if os.path.exists(path) and not os.path.isdir(path):
-        raise ParseError(f"--out {path} exists and is not a directory")
+    """Fail before any work on an --out at or below a file; make no directory."""
+    ancestor = path
+    while ancestor and not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if ancestor and not os.path.isdir(ancestor):
+        where = "exists and" if ancestor == path else f"lies below {ancestor}, which"
+        raise ParseError(f"--out {path} {where} is not a directory")
 
 
 def _cost_config(args) -> CostModelConfig:

@@ -1,6 +1,7 @@
 """Input faults that no planning can cure are reported before planning:
 an environment value outside a choice flag's choices, an --out that is a
-file, and (by creating it) a missing directory for the sweep's CSV."""
+file or lies below one, and (by creating it) a missing directory for the
+sweep's CSV."""
 
 import pytest
 
@@ -116,3 +117,45 @@ class TestOutIsAFile:
         assert main(["partition", "--graph", str(graph), "--out", str(out), "--cluster",
                      write_cluster(tmp_path / "c.json", mem=1000)]) == 2
         assert not out.exists()
+
+
+class TestOutBelowAFile:
+    """An --out below an existing file F can never be made: each command
+    names it before loading anything and writes nothing to stdout."""
+
+    @pytest.fixture
+    def out_file(self, tmp_path):
+        path = tmp_path / "F"
+        path.write_text("keep")
+        yield path
+        assert path.read_text() == "keep"
+
+    def test_partition_stops_before_loading(self, inputs, out_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_load_blocks", lambda args: pytest.fail("inputs loaded"))
+        assert main(["partition", *inputs, "--out", f"{out_file}/sub"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --out {out_file}/sub lies below {out_file}, "
+                                f"which is not a directory\n")
+
+    def test_simulate_with_gantt_stops_before_loading(self, inputs, tmp_path, out_file,
+                                                       capsys, monkeypatch):
+        plan = tmp_path / "run" / "plan.json"
+        assert main(["partition", *inputs, "--out", str(plan.parent)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_load_blocks", lambda args: pytest.fail("inputs loaded"))
+        assert main(["simulate", *inputs, "--plan", str(plan), "--gantt", "text",
+                     "--out", f"{out_file}/sub/deeper"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --out {out_file}/sub/deeper lies below {out_file}, "
+                                f"which is not a directory\n")
+
+    def test_sweep_stops_before_planning(self, tmp_path, out_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_plan_blocks", lambda *args: pytest.fail("graph planned"))
+        assert main(["sweep", "--cluster", write_cluster(tmp_path / "c.json"), *SWEEP,
+                     "--batch-size", "8", "--out", f"{out_file}/sub/x.csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --out {out_file}/sub lies below {out_file}, "
+                                f"which is not a directory\n")
