@@ -8,20 +8,20 @@ self-contained given only its non-constant inputs. The clone-expanded
 graph is derived from the input graph (`TaskGraph.replaced`): only the
 shared support nodes and their edges change.
 
-Atoms and their unions share one boundary rule (`AtomicPartition.merged`):
-a group's inputs are the values its tasks read that are model inputs or
-owned outside the group, and its outputs are the values it owns that are
-model outputs or read outside it. The partition keeps two tables, built
-once. `crossing` lists every value some atom takes as an input, with its
-owner atom and its reader atoms; the atom dependencies (the block phase's
-adjacency), a group's outputs and the block phase's input entries and
-traffic table read it. `terms` holds each atom's byte terms, built in the
-walk that assigns owners, and the block phase's memory terms come from it.
+Atoms and their unions share one boundary rule: a group's inputs are the
+values its tasks read that are model inputs or owned outside the group, and
+its outputs are the values it owns that are model outputs or read outside
+it. The partition keeps two tables, built once. `crossing` lists every value
+some atom takes as an input, with its owner and reader atoms; each atom is
+built once with its boundary read off it, `merged` composes atom boundaries
+for a union, and the block phase's adjacency, input entries and traffic
+table read it. `terms` holds each atom's byte terms, built in the walk that
+assigns owners, and the block phase's memory terms come from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from itertools import count
 from typing import NamedTuple
 
@@ -36,8 +36,7 @@ class DanglingOutput(ValueError):
     """A model output or constant subgraph is not anchored to any atom."""
 
 
-@dataclass(frozen=True)
-class Subcomponent:
+class Subcomponent(NamedTuple):
     """A set of graph nodes with explicit value boundaries."""
 
     id: str
@@ -66,18 +65,13 @@ def mark_constant_tasks(g: TaskGraph) -> dict[str, bool]:
     """
     constant: dict[str, bool] = {}
     for nid in g.topo_order():
-        if not g.nodes[nid].is_task:
-            continue
-        depends = False
-        for vid in g.pred(nid):
-            if vid in g.inputs:
-                depends = True
-                break
-            producer = g.producer(vid)
-            if producer is not None and not constant[producer]:
-                depends = True
-                break
-        constant[nid] = not depends
+        if g.nodes[nid].task is not None:
+            constant[nid] = True
+            for vid in g.pred(nid):
+                # a source value's producer is None, which counts as constant
+                if vid in g.inputs or not constant.get(g.producer(vid), True):
+                    constant[nid] = False
+                    break
     return constant
 
 
@@ -106,13 +100,15 @@ def _constant_closure(g: TaskGraph, constant: dict[str, bool], task_id: str) -> 
 
 @dataclass
 class AtomicPartition:
-    """Atoms over a (possibly clone-expanded) graph, in topological order."""
+    """Atoms over a (possibly clone-expanded) graph, in topological order,
+    each built once from its node set (`members`) and the crossing table."""
 
     graph: TaskGraph
-    atoms: tuple[Subcomponent, ...]
+    members: InitVar[list[frozenset[str]]]
     clone_origins: dict[str, str]
+    atoms: tuple[Subcomponent, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, members: list[frozenset[str]]) -> None:
         g = self.graph
         self._task_atom: dict[str, int] = {}
         self._value_owner: dict[str, int] = {}
@@ -120,26 +116,27 @@ class AtomicPartition:
         # non-parameter values with no producer that are not graph inputs
         # some task reads, such as constants; and each task's `TaskShape`
         self.terms: list[tuple[int, tuple[int, int], tuple[TaskShape, ...]]] = []
+        # a graph has few distinct produced tuples: each shape shares one
+        interned: dict[tuple, tuple] = {}
 
         def sizes(vid):
-            info = g.nodes[vid].value
-            if info.is_param or vid in g.inputs:
-                return None
-            return info.fixed_bytes, info.bytes_per_sample
+            info = g.nodes[vid].value  # its first two fields are (fixed, per sample)
+            return None if info.is_param or vid in g.inputs else info[:2]
 
-        for idx, atom in enumerate(self.atoms):
+        for idx, node_ids in enumerate(members):
             params = fixed = per_sample = 0
             shapes = []
-            for nid in atom.node_ids:
+            for nid in node_ids:
                 node = g.nodes[nid]
-                if node.is_task:
+                if node.task is not None:
                     self._task_atom[nid] = idx
                     # atoms are in topological order, so a value read here
                     # that has no owner yet is owned by this atom
-                    produced = tuple(sz for sz in map(sizes, g.succ(nid)) if sz is not None)
-                    reads = tuple((self._value_owner.get(vid, idx), *sz) for vid in g.pred(nid)
-                                  if (sz := sizes(vid)) is not None)
-                    shapes.append(TaskShape(node.task, produced, reads))
+                    produced = tuple([sz for sz in map(sizes, g.succ(nid)) if sz is not None])
+                    reads = tuple([(self._value_owner.get(vid, idx), *sz) for vid in g.pred(nid)
+                                   if (sz := sizes(vid)) is not None])
+                    shapes.append(TaskShape(node.task, interned.setdefault(produced, produced),
+                                            reads))
                     continue
                 self._value_owner[nid] = idx
                 if node.value.is_param:
@@ -150,15 +147,25 @@ class AtomicPartition:
             self.terms.append((params, (fixed, per_sample), tuple(shapes)))
         # value id -> (owner atom, sorted reader atoms) of every value some
         # atom takes as an input, in value-id order: all readers of a graph
-        # input, the readers other than the owner of any other value
+        # input, the readers other than the owner of any other value. An
+        # atom's inputs are the crossing values it reads, and its outputs the
+        # values it owns that another atom reads or that are model outputs.
         self.crossing: dict[str, tuple[int, tuple[int, ...]]] = {}
-        for vid in self.graph.value_ids():
+        inputs, outputs = [[] for _ in members], [[] for _ in members]
+        for vid in g.value_ids():
             owner = self._value_owner[vid]
-            readers = {self._task_atom[t] for t in self.graph.consumers(vid)}
-            if vid not in self.graph.inputs:
+            readers = {self._task_atom[t] for t in g.consumers(vid)}
+            if vid in g.outputs or not readers <= {owner}:
+                outputs[owner].append(vid)
+            if vid not in g.inputs:
                 readers.discard(owner)
             if readers:
                 self.crossing[vid] = owner, tuple(sorted(readers))
+                for reader in self.crossing[vid][1]:
+                    inputs[reader].append(vid)
+        width = max(5, len(str(len(members))))
+        self.atoms = tuple(Subcomponent(f"A{idx:0{width}d}", nodes, tuple(ins), tuple(outs))
+                           for idx, (nodes, ins, outs) in enumerate(zip(members, inputs, outputs)))
 
     def owner_of_value(self, value_id: str) -> int:
         return self._value_owner[value_id]
@@ -175,18 +182,18 @@ class AtomicPartition:
     def merged(self, atom_indices, sub_id: str) -> Subcomponent:
         """Materialize the union of atoms as one subcomponent.
 
-        This is the one boundary rule. Inputs are the values the group's
-        tasks read that are model inputs or owned outside the group; outputs
-        are the values the group owns that are model outputs or read outside
-        it. Only the atoms' node sets are read.
+        Its boundary is composed from its atoms' (see `crossing`), so one
+        rule holds for atoms and groups: an atom's input stays an input if it
+        is a model input or is owned outside the group, and an atom's output
+        stays an output if it is a model output or is read outside it.
         """
-        graph, group = self.graph, frozenset(atom_indices)
-        owner, task_atom, crossing = self._value_owner, self._task_atom, self.crossing
-        node_ids = frozenset().union(*(self.atoms[idx].node_ids for idx in group))
-        inputs = {vid for nid in node_ids if nid in task_atom for vid in graph.pred(nid)
-                  if vid in graph.inputs or owner.get(vid) not in group}
-        outputs = {vid for vid in node_ids if vid in owner and (
-            vid in graph.outputs or vid in crossing and not group.issuperset(crossing[vid][1]))}
+        graph, group, crossing = self.graph, frozenset(atom_indices), self.crossing
+        atoms = [self.atoms[idx] for idx in group]
+        node_ids = frozenset().union(*(atom.node_ids for atom in atoms))
+        inputs = {vid for atom in atoms for vid in atom.input_values
+                  if vid in graph.inputs or crossing[vid][0] not in group}
+        outputs = {vid for atom in atoms for vid in atom.output_values
+                   if vid in graph.outputs or not group.issuperset(crossing[vid][1])}
         return Subcomponent(sub_id, node_ids, tuple(sorted(inputs)), tuple(sorted(outputs)))
 
 
@@ -212,10 +219,9 @@ def build_atomic_subcomponents(g: TaskGraph) -> AtomicPartition:
         elif constant[producer]:
             raise DanglingOutput(f"output {oid!r} depends on no model input")
 
-    closures = [_constant_closure(g, constant, t) for t in anchors]
     owners: dict[str, list[int]] = {}
-    for idx, closure in enumerate(closures):
-        for nid in closure:
+    for idx, anchor in enumerate(anchors):
+        for nid in _constant_closure(g, constant, anchor):
             owners.setdefault(nid, []).append(idx)
 
     for tid, is_const in constant.items():
@@ -273,9 +279,4 @@ def _assemble(graph, anchors, local_id, clone_origins) -> AtomicPartition:
     anchor_atom = {anchor: idx for idx, anchor in enumerate(anchors)}
     for vid in graph.inputs:
         members[min((anchor_atom[t] for t in graph.consumers(vid)), default=0)].add(vid)
-    width = max(5, len(str(len(anchors))))
-    p = AtomicPartition(graph, tuple(Subcomponent(f"A{idx:0{width}d}", frozenset(m), (), ())
-                                     for idx, m in enumerate(members)), clone_origins)
-    # owner tables and terms read only node sets, so they hold for the final atoms
-    p.atoms = tuple(p.merged([idx], atom.id) for idx, atom in enumerate(p.atoms))
-    return p
+    return AtomicPartition(graph, [frozenset(m) for m in members], clone_origins)

@@ -6,6 +6,8 @@ iteration orders are deterministic so downstream passes are reproducible.
 A graph file is one JSON document: `save_graph` writes it on one line, and
 `load_graph` reads it with any whitespace, checking each node in one pass.
 A graph never changes, so it is sorted once and each caller gets a copy.
+The records (`Node`, `TaskInfo`, `ValueInfo`, `Violation`) are immutable
+named tuples, cheap to build: use `_asdict()` and `_replace()`, not `vars()`.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 import heapq
 import json
 from collections.abc import Iterable, Mapping, Set
-from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Any
+from dataclasses import dataclass
+from operator import attrgetter, itemgetter
+from typing import Any, NamedTuple
 
 
 class ParseError(ValueError):
@@ -35,8 +37,7 @@ class CycleError(RuntimeError):
     """Raised when a traversal requires an acyclic graph but finds a cycle."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     nodes: tuple[str, ...]
     detail: str
@@ -45,39 +46,40 @@ class Violation:
         return f"{self.kind} [{', '.join(self.nodes)}]: {self.detail}"
 
 
-@dataclass(frozen=True)
-class TaskInfo:
-    op: str
-    flops_per_sample: float = 0.0
-    attrs: Mapping[str, Any] = field(default_factory=dict)
+class TaskInfo(NamedTuple("_TaskFields", [("op", str), ("flops_per_sample", float),
+                                          ("attrs", Mapping[str, Any])])):
+    __slots__ = ()
+
+    def __new__(cls, op: str, flops_per_sample: float = 0.0,
+                attrs: Mapping[str, Any] | None = None) -> TaskInfo:
+        # each task gets its own attrs: a default is never shared
+        return tuple.__new__(cls, (op, flops_per_sample, {} if attrs is None else attrs))
 
 
-@dataclass(frozen=True)
-class ValueInfo:
+class ValueInfo(NamedTuple):
     fixed_bytes: int = 0
     bytes_per_sample: int = 0
     is_param: bool = False
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple("_NodeFields", [("id", str), ("task", TaskInfo | None),
+                                      ("value", ValueInfo | None)])):
     """One graph node. Exactly one of task/value is set."""
 
-    id: str
-    task: TaskInfo | None = None
-    value: ValueInfo | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.task is None) == (self.value is None):
-            raise ValueError(f"node {self.id!r} must be exactly one of task/value")
+    def __new__(cls, id: str, task: TaskInfo | None = None,
+                value: ValueInfo | None = None) -> Node:
+        if (task is None) == (value is None):
+            raise ValueError(f"node {id!r} must be exactly one of task/value")
+        return tuple.__new__(cls, (id, task, value))
 
-    @property
-    def is_task(self) -> bool:
-        return self.task is not None
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> Node:
+        return cls(*iterable)  # so `_replace` checks its result too
 
-    @property
-    def is_value(self) -> bool:
-        return self.value is not None
+    is_task = property(lambda self: self.task is not None)
+    is_value = property(lambda self: self.value is not None)
 
 
 class TaskGraph:
@@ -91,20 +93,21 @@ class TaskGraph:
         outputs: Iterable[str] = (),
     ):
         self.nodes: dict[str, Node] = {}
-        for n in sorted(nodes, key=lambda n: n.id):
+        for n in sorted(nodes, key=attrgetter("id")):
             if n.id in self.nodes:
                 raise ValueError(f"duplicate node id {n.id!r}")
             self.nodes[n.id] = n
-        self.edges: tuple[tuple[str, str], ...] = tuple((src, dst) for src, dst in edges)
+        self.edges: tuple[tuple[str, str], ...] = tuple([(src, dst) for src, dst in edges])
         seen: set[tuple[str, str]] = set()
         succ: dict[str, list[str]] = {nid: [] for nid in self.nodes}
         pred: dict[str, list[str]] = {nid: [] for nid in self.nodes}
-        for src, dst in self.edges:
+        for edge in self.edges:
+            src, dst = edge
             if src not in self.nodes or dst not in self.nodes:
                 raise ValueError(f"edge ({src!r}, {dst!r}) references an unknown node")
-            if (src, dst) in seen:
+            if edge in seen:
                 raise ValueError(f"duplicate edge ({src!r}, {dst!r})")
-            seen.add((src, dst))
+            seen.add(edge)
             succ[src].append(dst)
             pred[dst].append(src)
         self.inputs = frozenset(inputs)
@@ -187,10 +190,10 @@ class TaskGraph:
         return self._pred[node_id]
 
     def task_ids(self) -> list[str]:
-        return [nid for nid, n in self.nodes.items() if n.is_task]
+        return [nid for nid, n in self.nodes.items() if n.task is not None]
 
     def value_ids(self) -> list[str]:
-        return [nid for nid, n in self.nodes.items() if n.is_value]
+        return [nid for nid, n in self.nodes.items() if n.value is not None]
 
     def producer(self, value_id: str) -> str | None:
         """Task producing the value, or None for sources (inputs, params)."""
@@ -258,7 +261,8 @@ class ClusterSpec:
 
 # the least integer that float() overflows on: every finite float is below it
 _FLOAT_OVERFLOW = 2**1024 - 2**970
-_NODE_FIELDS = frozenset({"id", "kind", "task", "value"})
+_NODE_FIELDS, _NODE_REQUIRED = (frozenset({"id", "kind", "task", "value"}),
+                               frozenset({"id", "kind"}))
 # per node kind: the fields its payload may carry, those it must, and the
 # other kind, whose payload the node must not carry
 _PAYLOAD_FIELDS = {
@@ -298,49 +302,53 @@ def parse_amount(raw: Any, what: str, whole: bool = False) -> float | int:
 
 def _node_from_json(raw: Mapping[str, Any]) -> Node:
     """One node document as a Node, checked in one pass. The order of the
-    checks decides which fault a document with several is rejected for."""
-    check_keys(raw, _NODE_FIELDS, {"id", "kind"}, "node")
+    checks decides which fault a document with several is rejected for. A
+    field of the JSON type a good value has builds no message; any other
+    goes through `check_keys` or `parse_amount`."""
+    check_keys(raw, _NODE_FIELDS, _NODE_REQUIRED, "node")
     nid, kind = raw["id"], raw["kind"]
     if not isinstance(nid, str) or not nid:
         raise ParseError("node id must be a non-empty string")
-    where = f"node {nid!r}"
     if kind != "task" and kind != "value":
-        raise ParseError(f"{where}: kind must be 'task' or 'value', got {kind!r}")
+        raise ParseError(f"node {nid!r}: kind must be 'task' or 'value', got {kind!r}")
     allowed, required, other = _PAYLOAD_FIELDS[kind]
     if other in raw:
-        raise ParseError(f"{kind} {where} carries a {other} payload")
+        raise ParseError(f"{kind} node {nid!r} carries a {other} payload")
     payload = raw.get(kind, {})
-    check_keys(payload, allowed, required, f"{where} {kind}")
+    if type(payload) is not dict or not allowed >= payload.keys() >= required:
+        check_keys(payload, allowed, required, f"node {nid!r} {kind}")
     get = payload.get
     if kind == "task":
         op, attrs = payload["op"], get("attrs", {})
         if not isinstance(op, str) or not op:
-            raise ParseError(f"{where}: op must be a non-empty string, got {op!r}")
-        if not isinstance(attrs, (dict, Mapping)):
-            raise ParseError(f"{where}: attrs must be an object")
-        return Node(nid, task=TaskInfo(
-            op=op, attrs=dict(attrs), flops_per_sample=parse_amount(
-                get("flops_per_sample", 0), where + ": flops_per_sample")))
+            raise ParseError(f"node {nid!r}: op must be a non-empty string, got {op!r}")
+        if type(attrs) is not dict and not isinstance(attrs, Mapping):
+            raise ParseError(f"node {nid!r}: attrs must be an object")
+        flops = get("flops_per_sample", 0.0)
+        if type(flops) is not float or not 0 <= flops < _FLOAT_OVERFLOW:
+            flops = parse_amount(flops, f"node {nid!r}: flops_per_sample")
+        return Node(nid, TaskInfo(op, flops, dict(attrs)))
     is_param = get("is_param", False)
     if not isinstance(is_param, bool):
-        raise ParseError(f"{where}: is_param must be true or false, got {is_param!r}")
-    return Node(nid, value=ValueInfo(
-        fixed_bytes=parse_amount(get("fixed_bytes", 0), where + ": fixed_bytes", whole=True),
-        bytes_per_sample=parse_amount(get("bytes_per_sample", 0), where + ": bytes_per_sample",
-                                      whole=True),
-        is_param=is_param))
+        raise ParseError(f"node {nid!r}: is_param must be true or false, got {is_param!r}")
+    fixed, per_sample = get("fixed_bytes", 0), get("bytes_per_sample", 0)
+    if type(fixed) is not int or not 0 <= fixed < _FLOAT_OVERFLOW:
+        fixed = parse_amount(fixed, f"node {nid!r}: fixed_bytes", whole=True)
+    if type(per_sample) is not int or not 0 <= per_sample < _FLOAT_OVERFLOW:
+        per_sample = parse_amount(per_sample, f"node {nid!r}: bytes_per_sample", whole=True)
+    return Node(nid, value=ValueInfo(fixed, per_sample, is_param))
 
 
 def graph_from_json(doc: Mapping[str, Any]) -> TaskGraph:
     """Build and validate a TaskGraph from an already-parsed JSON document."""
     check_keys(doc, {"nodes", "edges", "inputs", "outputs"}, {"nodes", "edges"}, "graph")
-    raw_nodes = doc["nodes"]
-    raw_edges = doc["edges"]
+    raw_nodes, raw_edges = doc["nodes"], doc["edges"]
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
         raise ParseError("graph: nodes and edges must be arrays")
     nodes = [_node_from_json(n) for n in raw_nodes]
     for e in raw_edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(i, str) for i in e)):
+        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+                and isinstance(e[1], str)):
             raise ParseError(f"graph: edge {e!r} must be a [src, dst] pair of node ids")
     ends = {key: doc.get(key, []) for key in ("inputs", "outputs")}
     for key, ids in ends.items():
@@ -374,14 +382,10 @@ def load_graph(path: str) -> TaskGraph:
 
 def graph_to_json(g: TaskGraph) -> dict[str, Any]:
     """The document that `graph_from_json` reads back as `g`. A payload
-    holds its info's fields, in the order the dataclass declares them."""
-    nodes = []
-    for nid, n in g.nodes.items():
-        if n.task is not None:
-            task = {**vars(n.task), "attrs": dict(n.task.attrs)}
-            nodes.append({"id": nid, "kind": "task", "task": task})
-        else:
-            nodes.append({"id": nid, "kind": "value", "value": dict(vars(n.value))})
+    holds its info's fields, in the order the record declares them."""
+    nodes = [{"id": nid, "kind": "task", "task": {**n.task._asdict(), "attrs": dict(n.task.attrs)}}
+             if n.task is not None else {"id": nid, "kind": "value", "value": n.value._asdict()}
+             for nid, n in g.nodes.items()]
     return {
         "nodes": nodes,
         "edges": [[a, b] for a, b in g.edges],
@@ -403,12 +407,14 @@ def validate_graph(g: TaskGraph) -> list[Violation]:
     out: list[Violation] = []
     sources = set(g.inputs)
     for src, dst in g.edges:
-        if g.nodes[src].is_task == g.nodes[dst].is_task:
-            kinds = "tasks" if g.nodes[src].is_task else "values"
+        if (g.nodes[src].task is None) == (g.nodes[dst].task is None):
+            kinds = "values" if g.nodes[src].task is None else "tasks"
             out.append(Violation("non-bipartite-edge", (src, dst),
                                  f"edge connects two {kinds}"))
-    for vid in g.value_ids():
-        preds = g.pred(vid)
+    for vid, node in g.nodes.items():
+        if node.value is None:
+            continue
+        preds = g._pred[vid]
         if not preds:
             sources.add(vid)
         if len(preds) > 1:
@@ -417,9 +423,7 @@ def validate_graph(g: TaskGraph) -> list[Violation]:
         if preds and vid in g.inputs:
             out.append(Violation("produced-input", (vid, *preds),
                                  "a model input must not be produced by a task"))
-        info = g.nodes[vid].value
-        assert info is not None
-        if info.is_param and info.bytes_per_sample != 0:
+        if node.value.is_param and node.value.bytes_per_sample != 0:
             out.append(Violation("param-batch-scaling", (vid,),
                                  "parameter values must not scale with batch size"))
     try:
@@ -432,7 +436,7 @@ def validate_graph(g: TaskGraph) -> list[Violation]:
         nid = stack.pop()
         if nid not in reach:
             reach.add(nid)
-            stack.extend(g.succ(nid))
+            stack.extend(g._succ[nid])
     for oid in sorted(g.outputs):
         if oid not in reach:
             out.append(Violation("unreachable-output", (oid,),
@@ -442,13 +446,8 @@ def validate_graph(g: TaskGraph) -> list[Violation]:
 
 def count_params(g: TaskGraph) -> int:
     """Total parameter element count, assuming 4-byte elements."""
-    total = 0
-    for vid in g.value_ids():
-        info = g.nodes[vid].value
-        assert info is not None
-        if info.is_param:
-            total += info.fixed_bytes // 4
-    return total
+    return sum(n.value.fixed_bytes // 4 for n in g.nodes.values()
+               if n.value is not None and n.value.is_param)
 
 
 def cluster_from_json(doc: Mapping[str, Any]) -> ClusterSpec:
