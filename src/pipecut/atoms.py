@@ -21,7 +21,6 @@ assigns owners, and the block phase's memory terms come from it.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
 from itertools import count
 from typing import NamedTuple
 
@@ -98,18 +97,14 @@ def _constant_closure(g: TaskGraph, constant: dict[str, bool], task_id: str) -> 
     return closure
 
 
-@dataclass
 class AtomicPartition:
     """Atoms over a (possibly clone-expanded) graph, in topological order,
     each built once from its node set (`members`) and the crossing table."""
 
-    graph: TaskGraph
-    members: InitVar[list[frozenset[str]]]
-    clone_origins: dict[str, str]
-    atoms: tuple[Subcomponent, ...] = field(init=False)
-
-    def __post_init__(self, members: list[frozenset[str]]) -> None:
-        g = self.graph
+    def __init__(self, graph: TaskGraph, members: list[frozenset[str]],
+                 clone_origins: dict[str, str]) -> None:
+        self.graph = g = graph
+        self.clone_origins = clone_origins
         self._task_atom: dict[str, int] = {}
         self._value_owner: dict[str, int] = {}
         # per atom: parameter bytes; (fixed, per sample) source bytes of the

@@ -48,7 +48,6 @@ import graphlib
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 
 from .atoms import AtomicPartition, Subcomponent, TaskShape
 from .costs import CostModel, CostRecord, op_signature
@@ -526,7 +525,6 @@ class _SpanTerms:
         return row
 
 
-@dataclass
 class BlockSet:
     """Blocks in dependency order as atom-index tuples; the rest is derived.
 
@@ -534,12 +532,10 @@ class BlockSet:
     holds at least one atom and no block reads a value that a later block
     owns."""
 
-    partition: AtomicPartition
-    model: CostModel
-    block_atoms: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.block_atoms)
+    def __init__(self, partition: AtomicPartition, model: CostModel,
+                 block_atoms: tuple[tuple[int, ...], ...]) -> None:
+        self.partition, self.model, self.block_atoms = partition, model, block_atoms
+        n = len(block_atoms)
         if sorted(itertools.chain(*self.block_atoms)) != list(range(len(self.partition.atoms))):
             raise ValueError("every atom must be in exactly one block")
         if not all(self.block_atoms):

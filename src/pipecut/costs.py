@@ -17,43 +17,49 @@ times are `math.fsum` totals, correctly rounded whatever the node order, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .atoms import Subcomponent
 from .graph import (ClusterSpec, ParseError, TaskGraph, TaskInfo, check_keys,
                     parse_amount, read_json)
 
 
-@dataclass(frozen=True, slots=True)
-class CostRecord:
+class CostRecord(NamedTuple):
     t_fwd_sec: float
     t_bwd_sec: float
     mem_bytes: int
 
 
-@dataclass(frozen=True)
-class CostModelConfig:
+class CostTableEntry(NamedTuple):
+    microbatch: int
+    t_fwd: float
+    t_bwd: float | None = None
+    act_bytes: int | None = None
+
+
+class _ConfigFields(NamedTuple):
     device_flops_per_sec: float = 15.7e12
     bwd_fwd_ratio: float = 2.0
     grad_factor: float = 1.0
     optimizer_state_factor: float = 2.0
     checkpointing: bool = True
-    cost_table: Mapping[str, "CostTableEntry"] | None = None
+    cost_table: Mapping[str, CostTableEntry] | None = None
 
-    def __post_init__(self) -> None:
+
+class CostModelConfig(_ConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> CostModelConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.device_flops_per_sec <= 0:
             raise ValueError("device_flops_per_sec must be positive")
         if self.bwd_fwd_ratio < 0 or self.grad_factor < 0 or self.optimizer_state_factor < 0:
             raise ValueError("cost factors must be non-negative")
+        return self
 
-
-@dataclass(frozen=True)
-class CostTableEntry:
-    microbatch: int
-    t_fwd: float
-    t_bwd: float | None = None
-    act_bytes: int | None = None
+    @classmethod
+    def _make(cls, iterable) -> CostModelConfig:
+        return cls(*iterable)  # so `_replace` checks its result too
 
 
 def op_signature(task: TaskInfo, microbatch: int) -> str:

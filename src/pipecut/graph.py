@@ -6,8 +6,9 @@ iteration orders are deterministic so downstream passes are reproducible.
 A graph file is one JSON document: `save_graph` writes it on one line, and
 `load_graph` reads it with any whitespace, checking each node in one pass.
 A graph never changes, so it is sorted once and each caller gets a copy.
-The records (`Node`, `TaskInfo`, `ValueInfo`, `Violation`) are immutable
-named tuples, cheap to build: use `_asdict()` and `_replace()`, not `vars()`.
+The records (`Node`, `TaskInfo`, `ValueInfo`, `Violation`, `ClusterSpec`) are
+immutable named tuples, cheap to build: use `_asdict()` and `_replace()`, not
+`vars()` or `dataclasses.replace`. A replaced `Node` or `ClusterSpec` is checked.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import heapq
 import json
 from collections.abc import Iterable, Mapping, Set
-from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Any, NamedTuple
 
@@ -233,10 +233,7 @@ class TaskGraph:
         return order
 
 
-@dataclass(frozen=True)
-class ClusterSpec:
-    """Homogeneous cluster description used by cost and search phases."""
-
+class _ClusterFields(NamedTuple):
     num_nodes: int
     devices_per_node: int
     device_memory_bytes: int
@@ -244,7 +241,14 @@ class ClusterSpec:
     bw_inter: float
     link_latency_sec: float = 0.0
 
-    def __post_init__(self) -> None:
+
+class ClusterSpec(_ClusterFields):
+    """Homogeneous cluster description used by cost and search phases."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ClusterSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.num_nodes < 1 or self.devices_per_node < 1:
             raise ValueError("cluster must have at least one node and one device")
         if self.device_memory_bytes <= 0:
@@ -253,6 +257,11 @@ class ClusterSpec:
             raise ValueError("bandwidths must satisfy bw_intra >= bw_inter > 0")
         if self.link_latency_sec < 0:
             raise ValueError("link_latency_sec must be non-negative")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> ClusterSpec:
+        return cls(*iterable)  # so `_replace` checks its result too
 
     @property
     def num_devices(self) -> int:
@@ -386,12 +395,8 @@ def graph_to_json(g: TaskGraph) -> dict[str, Any]:
     nodes = [{"id": nid, "kind": "task", "task": {**n.task._asdict(), "attrs": dict(n.task.attrs)}}
              if n.task is not None else {"id": nid, "kind": "value", "value": n.value._asdict()}
              for nid, n in g.nodes.items()]
-    return {
-        "nodes": nodes,
-        "edges": [[a, b] for a, b in g.edges],
-        "inputs": sorted(g.inputs),
-        "outputs": sorted(g.outputs),
-    }
+    return {"nodes": nodes, "edges": [[a, b] for a, b in g.edges],
+            "inputs": sorted(g.inputs), "outputs": sorted(g.outputs)}
 
 
 def save_graph(g: TaskGraph, path: str) -> None:
@@ -451,13 +456,8 @@ def count_params(g: TaskGraph) -> int:
 
 
 def cluster_from_json(doc: Mapping[str, Any]) -> ClusterSpec:
-    check_keys(
-        doc,
-        {"num_nodes", "devices_per_node", "device_memory_bytes",
-         "bw_intra", "bw_inter", "link_latency_sec"},
-        {"num_nodes", "devices_per_node", "device_memory_bytes", "bw_intra", "bw_inter"},
-        "cluster",
-    )
+    keys = frozenset(ClusterSpec._fields)
+    check_keys(doc, keys, keys - ClusterSpec._field_defaults.keys(), "cluster")
     counts = ("num_nodes", "devices_per_node", "device_memory_bytes")
     fields = {name: parse_amount(raw, f"cluster {name}", whole=name in counts)
               for name, raw in doc.items()}

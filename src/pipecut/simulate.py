@@ -9,14 +9,13 @@ and `render_gantt`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .blocks import BlockSet
 from .stages import InvalidPlan, Plan, replay, validate_plan
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     device: int
     stage: int
     microbatch: int   # 0-based; -1 for the gradient sync
@@ -25,8 +24,7 @@ class Event:
     end_sec: float
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     events: tuple[Event, ...]
     iteration_time_sec: float
     bubble_fraction: float

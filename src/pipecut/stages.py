@@ -59,8 +59,8 @@ ring-allreduce volume, rounded down to a whole byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from itertools import combinations, product
+from typing import NamedTuple, get_type_hints
 
 from .blocks import BlockSet
 from .costs import CostRecord
@@ -82,8 +82,7 @@ class SearchBudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class StagePlan:
+class StagePlan(NamedTuple):
     blocks: tuple[int, int]  # half-open block range [from, to)
     devices: int             # devices per pipeline replica
     replicas: int            # devices x replica factor
@@ -92,8 +91,7 @@ class StagePlan:
     mem: int
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     stages: tuple[StagePlan, ...]
     microbatches: int        # microbatch count per iteration
     replica_factor: int
@@ -102,22 +100,23 @@ class Plan:
     devices_total: int       # devices per pipeline replica, summed over stages
 
     def to_json(self) -> dict:
-        return {**vars(self), "stages": [{**vars(st), "blocks": list(st.blocks)}
-                                         for st in self.stages]}
+        return {**self._asdict(), "stages": [{**st._asdict(), "blocks": list(st.blocks)}
+                                             for st in self.stages]}
 
     @staticmethod
     def from_json(doc: dict) -> "Plan":
-        """Key sets, whole numbers and check order follow the dataclass fields."""
+        """Key sets and check order follow the record fields, and a field
+        annotated `int` must be a whole number."""
         def amounts(raw: dict, cls, what: str) -> dict:
-            return {f.name: parse_amount(raw[f.name], f"{what} {f.name}",
-                                         whole=f.type == "int")
-                    for f in fields(cls) if f.name not in ("blocks", "stages")}
+            return {name: parse_amount(raw[name], f"{what} {name}", whole=kind is int)
+                    for name, kind in get_type_hints(cls).items()
+                    if name not in ("blocks", "stages")}
 
-        top = {f.name for f in fields(Plan)}
+        top = set(Plan._fields)
         check_keys(doc, top, top, "plan")
         if not isinstance(doc["stages"], list):
             raise ParseError("plan stages must be an array")
-        stage_keys = {f.name for f in fields(StagePlan)}
+        stage_keys = set(StagePlan._fields)
         stages = []
         for i, st in enumerate(doc["stages"]):
             check_keys(st, stage_keys, stage_keys, f"plan stage {i}")
@@ -129,23 +128,23 @@ class Plan:
         return Plan(stages=tuple(stages), **amounts(doc, Plan, "plan"))
 
 
-@dataclass
 class SearchStats:
-    # candidate (predecessor cut, device split) pairs of every cell the DP
-    # passes scanned: (b-s+1)(d-s+1) for cell (s, b, d), dead cells
-    # included, though only live cells build a frontier
-    visits: int = 0
-    dp_calls: int = 0  # DP passes, each over a range of stage counts
+    """Counters of one search, which the DP passes add to."""
+
+    def __init__(self, visits: int = 0, dp_calls: int = 0):
+        # candidate (predecessor cut, device split) pairs of every cell the
+        # DP passes scanned: (b-s+1)(d-s+1) for cell (s, b, d), dead cells
+        # included, though only live cells build a frontier
+        self.visits = visits
+        self.dp_calls = dp_calls  # DP passes, each over a range of stage counts
 
 
-@dataclass(frozen=True)
-class SearchOptions:
+class SearchOptions(NamedTuple):
     disable_pruning: bool = False
     visit_budget: int | None = None
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     plan: Plan | None   # None means no feasible assignment exists
     stats: SearchStats
 

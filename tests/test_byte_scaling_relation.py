@@ -14,7 +14,6 @@ bytes, doubles exactly only for r <= 2 replicas, so the clusters here have
 at most two devices and the test checks that no stage has more replicas.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -45,12 +44,11 @@ def bigger(g, cluster, table):
         if node["kind"] == "value":
             node["value"]["fixed_bytes"] *= 2
             node["value"]["bytes_per_sample"] *= 2
-    cluster = dataclasses.replace(cluster, device_memory_bytes=2 * cluster.device_memory_bytes,
-                                  bw_intra=2 * cluster.bw_intra, bw_inter=2 * cluster.bw_inter)
+    cluster = cluster._replace(device_memory_bytes=2 * cluster.device_memory_bytes,
+                               bw_intra=2 * cluster.bw_intra, bw_inter=2 * cluster.bw_inter)
     if table is not None:
-        table = {sig: dataclasses.replace(
-            e, act_bytes=None if e.act_bytes is None else 2 * e.act_bytes)
-            for sig, e in table.items()}
+        table = {sig: e._replace(act_bytes=None if e.act_bytes is None else 2 * e.act_bytes)
+                 for sig, e in table.items()}
     return graph_from_json(doc), cluster, table
 
 
@@ -103,7 +101,7 @@ def test_random_layered_graphs(chunk):
         # a budget a quarter under the one-stage plan's memory forces a cut
         # or a smaller microbatch, and leaves some atoms too big to place
         mem = planned(g, cluster, True, None, 8, 8)[1].stages[0].mem
-        counts += assert_relation(g, dataclasses.replace(cluster, device_memory_bytes=mem * 3 // 4))
+        counts += assert_relation(g, cluster._replace(device_memory_bytes=mem * 3 // 4))
     assert 1 in counts and 2 in counts
 
 

@@ -12,6 +12,7 @@ import heapq
 import json
 import math
 import random
+import types
 from collections.abc import Mapping
 
 import pytest
@@ -232,12 +233,23 @@ def grid_documents():
 
 def outcome(parse, raw):
     """What `parse` makes of a private copy of `raw`: the node and its repr
-    (which tells 4 from 4.0), or the error's type and message."""
+    (which tells 4 from 4.0), or the error's type and message. The copy is
+    made outside the `try`, so a document that cannot be copied is an error
+    of the test, not an outcome both loaders share."""
+    doc = copy.deepcopy(raw)
     try:
-        node = parse(copy.deepcopy(raw))
+        node = parse(doc)
     except Exception as exc:  # the type is part of what is compared
         return type(exc), str(exc)
     return node, repr(node)
+
+
+def test_outcome_raises_on_a_document_it_cannot_copy():
+    # a mapping proxy is a valid payload that `copy.deepcopy` rejects; were
+    # the copy inside the `try`, both loaders would "agree" on its TypeError
+    doc = {"id": "t", "kind": "task", "task": types.MappingProxyType({"op": "mm"})}
+    with pytest.raises(TypeError, match="mappingproxy"):
+        outcome(_node_from_json, doc)
 
 
 class TestLoaderParity:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from pipecut.simulate import InvalidPlan, render_gantt, simulate
@@ -189,7 +187,7 @@ class TestReplication:
 class TestValidation:
     def test_rejects_tampered_plan(self):
         bs, plan = uniform_plan(2, 2)
-        bad = dataclasses.replace(plan, objective=plan.objective * 2)
+        bad = plan._replace(objective=plan.objective * 2)
         with pytest.raises(InvalidPlan) as exc:
             simulate(bad, bs)
         assert exc.value.violations

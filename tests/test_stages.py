@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -286,23 +285,23 @@ class TestValidatePlan:
     def test_boundary_gap_detected(self):
         bs, plan = self.setup_plan()
         st = list(plan.stages)
-        st[1] = dataclasses.replace(st[1], blocks=(2, 4))
-        bad = dataclasses.replace(plan, stages=tuple(st))
+        st[1] = st[1]._replace(blocks=(2, 4))
+        bad = plan._replace(stages=tuple(st))
         kinds = {v.kind for v in validate_plan(bad, bs)}
         assert "boundary" in kinds
 
     def test_device_and_replica_mismatch_detected(self):
         bs, plan = self.setup_plan()
         st = list(plan.stages)
-        st[0] = dataclasses.replace(st[0], devices=0)
+        st[0] = st[0]._replace(devices=0)
         kinds = {v.kind for v in
-                 validate_plan(dataclasses.replace(plan, stages=tuple(st)), bs)}
+                 validate_plan(plan._replace(stages=tuple(st)), bs)}
         assert "devices" in kinds
 
         st = list(plan.stages)
-        st[0] = dataclasses.replace(st[0], replicas=5)
+        st[0] = st[0]._replace(replicas=5)
         kinds = {v.kind for v in
-                 validate_plan(dataclasses.replace(plan, stages=tuple(st)), bs)}
+                 validate_plan(plan._replace(stages=tuple(st)), bs)}
         assert "replicas" in kinds
 
     def test_memory_overflow_detected(self):
@@ -315,20 +314,20 @@ class TestValidatePlan:
     def test_stale_profile_detected(self):
         bs, plan = self.setup_plan()
         st = list(plan.stages)
-        st[0] = dataclasses.replace(st[0], t_fwd=st[0].t_fwd * 2)
+        st[0] = st[0]._replace(t_fwd=st[0].t_fwd * 2)
         kinds = {v.kind for v in
-                 validate_plan(dataclasses.replace(plan, stages=tuple(st)), bs)}
+                 validate_plan(plan._replace(stages=tuple(st)), bs)}
         assert "profile" in kinds
 
     def test_objective_mismatch_detected(self):
         bs, plan = self.setup_plan()
-        bad = dataclasses.replace(plan, objective=plan.objective + 1)
+        bad = plan._replace(objective=plan.objective + 1)
         kinds = {v.kind for v in validate_plan(bad, bs)}
         assert "objective" in kinds
 
     def test_starved_stage_detected(self):
         bs, plan = self.setup_plan()
-        bad = dataclasses.replace(plan, microbatches=64)
+        bad = plan._replace(microbatches=64)
         kinds = {v.kind for v in validate_plan(bad, bs)}
         assert "microbatch" in kinds
 

@@ -11,7 +11,6 @@ graphs from `helpers.py`, on graphs with cost-table entries, and on a bert
 and a resnet, with checkpointing on and off.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -41,13 +40,13 @@ def slower(g, cluster, table):
     for node in doc["nodes"]:
         if node["kind"] == "task":
             node["task"]["flops_per_sample"] *= 2
-    cluster = dataclasses.replace(cluster, bw_intra=cluster.bw_intra / 2,
-                                  bw_inter=cluster.bw_inter / 2,
-                                  link_latency_sec=cluster.link_latency_sec * 2)
+    cluster = cluster._replace(bw_intra=cluster.bw_intra / 2,
+                               bw_inter=cluster.bw_inter / 2,
+                               link_latency_sec=cluster.link_latency_sec * 2)
     if table is not None:
-        table = {sig: dataclasses.replace(
-            e, t_fwd=2 * e.t_fwd, t_bwd=None if e.t_bwd is None else 2 * e.t_bwd)
-            for sig, e in table.items()}
+        table = {sig: e._replace(t_fwd=2 * e.t_fwd,
+                                 t_bwd=None if e.t_bwd is None else 2 * e.t_bwd)
+                 for sig, e in table.items()}
     return graph_from_json(doc), cluster, table
 
 
