@@ -35,11 +35,12 @@ constant time instead of walking the span's nodes, the way PipeDream's
 partitioner sums per-layer costs (Narayanan et al., SOSP'19). Times,
 parameter bytes and resident bytes are prefix sums; span input bytes come
 from a table over (lo, hi); the checkpointing footprint is a running max
-over hi. The terms are built once per microbatch size over distinct task
-classes: a block's tasks with the same op signature, FLOPs and value sizes
-are costed once and counted, so a model of repeated layers costs a few
-dozen tasks per microbatch size, not every task. The record is equal, bit
-for bit, to `CostModel.profile` on the merged span.
+over hi. `BlockSet` keys each task by its op signature and FLOPs, the pair
+that fixes `CostModel.task_cost` at every microbatch, and keeps per block
+each key's task count and produced bytes; a new microbatch size then costs
+each distinct key once (a dozen for a model of repeated layers), and builds
+the working sets only when a checkpointing span first asks for them. The
+record is equal, bit for bit, to `CostModel.profile` on the merged span.
 """
 
 from __future__ import annotations
@@ -149,9 +150,10 @@ class _Grouping:
         self.atom_comp: list[float] = []
         self._atoms: list[tuple] = []
         for a, (params, _, shapes) in enumerate(partition.terms):
-            t_fwd, t_bwd, _, terms = _task_terms(model, [(shape, 1) for shape in shapes], 1)
-            self.atom_comp.append(math.fsum(t for t, _ in t_fwd)
-                                  + math.fsum(t for t, _ in t_bwd))
+            costs = [model.task_cost(shape.info, 1) for shape in shapes]
+            self.atom_comp.append(math.fsum(tf for tf, _, _ in costs)
+                                  + math.fsum(tb for _, tb, _ in costs))
+            terms = _working_terms(shapes, [act for _, _, act in costs], 1)
             peak, still_open = _peak(0, terms, (a,))
             self._atoms.append((params, tuple(inputs[a]), peak, tuple(still_open)))
         # summaries of the groups that coarsening formed and that move checks
@@ -253,9 +255,12 @@ def _uncoarsen(levels, transitions, ctx: _Grouping) -> None:
     """Walk merges back from coarsest to finest, moving one side of a pair
     into a neighboring group when that strictly cuts total traffic.
 
-    Each candidate is scored by its gain first and checked for convexity and
-    memory only when it would become the best so far; the checks change
-    nothing, so this picks the same move as checking every candidate first.
+    Each candidate is scored by its gain first, once per (mover, top-level
+    group), and the positive ones are checked for convexity and memory in
+    falling gain order, ties in scan order; the first that fits is applied.
+    That is the move checking every candidate first would pick. A neighbor
+    already in the mover's top-level group is skipped before its level-li
+    group is looked up: levels nest, so that group is in the same top group.
     A move rewrites each coarser level's table and group tuples in place; a
     group keeps its index. Level li changes only under moves at finer levels,
     which come later, so its groups are still the ones its merges recorded.
@@ -264,20 +269,23 @@ def _uncoarsen(levels, transitions, ctx: _Grouping) -> None:
     top = tables[-1]
     for li in range(len(transitions) - 1, -1, -1):
         for v, w in transitions[li]:
-            best = None  # (saving, mover, target group at level li)
+            cands = []  # (saving, mover, target group at level li), in scan order
             for mover in (v, w):
-                for ti in sorted({tables[li][b] for a in mover for b in ctx.neighbors[a]}):
+                home = top[mover[0]]
+                gains: dict[int, int] = {}  # top-level destination -> saving
+                for ti in sorted({tables[li][b] for a in mover
+                                  for b in ctx.neighbors[a] if top[b] != home}):
                     target = levels[li][ti]
                     dest = top[target[0]]
-                    if dest == top[mover[0]]:
-                        continue
-                    saving = ctx.gain(mover, dest, top)
-                    if saving <= 0 or (best is not None and saving <= best[0]):
-                        continue
-                    if _move_fits(mover, target, levels, tables, li, ctx):
-                        best = (saving, mover, target)
-            if best is not None:
-                _apply_move(best[1], best[2], levels, tables, li)
+                    if dest not in gains:
+                        gains[dest] = ctx.gain(mover, dest, top)
+                    if gains[dest] > 0:
+                        cands.append((gains[dest], mover, target))
+            cands.sort(key=lambda cand: -cand[0])
+            for _, mover, target in cands:
+                if _move_fits(mover, target, levels, tables, li, ctx):
+                    _apply_move(mover, target, levels, tables, li)
+                    break
 
 
 def _move_fits(mover, target, levels, tables, li, ctx: _Grouping) -> bool:
@@ -386,42 +394,37 @@ def _compact(glist: list[tuple[int, ...]], k: int, ctx: _Grouping) -> list[tuple
     return glist
 
 
-def _task_classes(terms, block_of) -> list[tuple[TaskShape, int]]:
+def _task_classes(terms, block_of, cost_keys: dict) -> tuple[list, list[int]]:
     """(shape, count) per class of the tasks in these atom terms, each read
     keyed by its owner's block: tasks that add the same terms at every
     microbatch, with the same op signature, FLOPs and sizes. The signature,
     not `TaskInfo` equality, decides, since `{"n": 1} == {"n": 1.0}` while
-    their signatures, and so their cost-table entries, differ."""
+    their signatures, and so their cost-table entries, differ. Also each
+    class's key index: `cost_keys` maps each (op signature, FLOPs) pair to
+    (its index, a task with that pair), and gains the pairs first seen here."""
     classes: dict[tuple, list] = {}
     for _, _, shapes in terms:
         for info, produced, reads in shapes:
             keyed = tuple([(block_of[owner], f, s) for owner, f, s in reads])
-            key = (op_signature(info, 0), info.flops_per_sample, produced, keyed)
-            classes.setdefault(key, [TaskShape(info, produced, keyed), 0])[1] += 1
-    return [(shape, count) for shape, count in classes.values()]
+            cost_key = (op_signature(info, 0), info.flops_per_sample)
+            key = (cost_key, produced, keyed)
+            if key not in classes:
+                classes[key] = [TaskShape(info, produced, keyed), 0,
+                                cost_keys.setdefault(cost_key, (len(cost_keys), info))[0]]
+            classes[key][1] += 1
+    entries = classes.values()
+    return [(shape, count) for shape, count, _ in entries], [key for _, _, key in entries]
 
 
-def _task_terms(model: CostModel, classes: list[tuple[TaskShape, int]], m: int):
-    """The terms a home's tasks add to `CostModel.profile` at microbatch m,
-    from (shape, count) pairs: (forward, count) and (backward, count)
-    seconds per pair; the bytes they produce (a cost-table `act_bytes`
-    replaces a task's own); and one checkpointing working-set term per
-    pair, (produced bytes, ((owner home, bytes), ...) of its reads), which
-    `_peak` resolves. A working set is a maximum, so a count does not enter
-    it."""
-    t_fwd: list[tuple[float, int]] = []
-    t_bwd: list[tuple[float, int]] = []
-    produced_total = 0
-    terms: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-    for shape, count in classes:
-        tf, tb, produced = model.task_cost(shape.info, m)
-        t_fwd.append((tf, count))
-        t_bwd.append((tb, count))
-        if produced is None:
-            produced = sum(f + m * s for f, s in shape.produced)
-        produced_total += count * produced
-        terms.append((produced, tuple([(home, f + m * s) for home, f, s in shape.reads])))
-    return t_fwd, t_bwd, produced_total, terms
+def _working_terms(shapes, acts, m: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """One checkpointing working-set term per task shape at microbatch m,
+    (produced bytes, ((owner home, bytes), ...) of its reads), which `_peak`
+    resolves; an `acts` entry that is not None, a cost-table `act_bytes`,
+    replaces the shape's produced bytes. A working set is a maximum, so a
+    class's count does not enter it."""
+    return [(sum(f + m * s for f, s in shape.produced) if act is None else act,
+             tuple([(home, f + m * s) for home, f, s in shape.reads]))
+            for shape, act in zip(shapes, acts)]
 
 
 def _peak(peak: int, terms, inside) -> tuple[int, list]:
@@ -471,52 +474,63 @@ def _union(summaries, inside) -> tuple:
     return params, tuple(inputs.values()), peak, tuple(still_open)
 
 
-def _exact_prefix(per_block: list[list[tuple[float, int]]]) -> tuple[int, list[int]]:
-    """Prefix sums of float totals, from (float, count) pairs, held exactly
-    as integers over one power-of-two denominator; dividing a difference
-    rounds once, so a span total equals `math.fsum` of its floats."""
-    ratios = [[(x.as_integer_ratio(), c) for x, c in xs] for xs in per_block]
-    denom = max((d for rs in ratios for (_, d), _ in rs), default=1)
-    prefix = [0]
-    for rs in ratios:
-        prefix.append(prefix[-1] + sum(c * n * (denom // d) for (n, d), c in rs))
-    return denom, prefix
+def _exact(times: list[float]) -> tuple[int, list[int]]:
+    """Floats held exactly as integers over one power-of-two denominator, so
+    that sums of them are exact and dividing a difference rounds once: a
+    span total equals `math.fsum` of its floats."""
+    ratios = [t.as_integer_ratio() for t in times]
+    denom = max((d for _, d in ratios), default=1)
+    return denom, [n * (denom // d) for n, d in ratios]
 
 
 class _SpanTerms:
-    """Per-block terms of `CostModel.profile` at one microbatch size."""
+    """Per-block terms of `CostModel.profile` at one microbatch size, from
+    the block set's tables, costing each distinct task key once. It keeps
+    the class lists, not the block set, so the set holds it without a
+    reference cycle."""
 
     def __init__(self, blocks: "BlockSet", microbatch: int):
         if microbatch < 0:
             raise ValueError("microbatch must be non-negative")
-        m = microbatch
-        n = len(blocks)
-        model = blocks.model
-        t_fwd: list[list[float]] = []
-        t_bwd: list[list[float]] = []
-        self.resident = [0] * (n + 1)   # prefix sums, checkpointing off
+        m = self.microbatch = microbatch
+        costs = [blocks.model.task_cost(info, m) for info in blocks._cost_infos]
+        self.fwd_denom, fwd = _exact([tf for tf, _, _ in costs])
+        self.bwd_denom, bwd = _exact([tb for _, tb, _ in costs])
+        self._acts = acts = [act for _, _, act in costs]
+        # prefix sums: times as integers over their denominators, and
+        # resident bytes with checkpointing off
+        self.t_fwd, self.t_bwd, self.resident = [0], [0], [0]
+        for (fixed, per_sample), rows in zip(blocks._source_bytes, blocks._key_rows):
+            tf = tb = 0
+            produced = fixed + m * per_sample
+            for key, count, f, s in rows:
+                tf += count * fwd[key]
+                tb += count * bwd[key]
+                produced += f + m * s if acts[key] is None else count * acts[key]
+            self.t_fwd.append(self.t_fwd[-1] + tf)
+            self.t_bwd.append(self.t_bwd[-1] + tb)
+            self.resident.append(self.resident[-1] + produced)
+        self._classes, self._class_keys = blocks._task_classes, blocks._class_keys
         # per block, its reads resolved: the largest working set closed
-        # within it, and the terms still reading from earlier blocks
-        self.peak: list[int] = []
+        # within it, and the terms still reading from earlier blocks; built
+        # by the first `peak_row`
+        self.peak: list[int] | None = None
         self.open: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = []
         self._peak_rows: dict[int, list[int]] = {}
-        for b, classes in enumerate(blocks._task_classes):
-            fixed, per_sample = blocks._source_bytes[b]
-            tfs, tbs, produced, terms = _task_terms(model, classes, m)
-            t_fwd.append(tfs)
-            t_bwd.append(tbs)
-            self.resident[b + 1] = self.resident[b] + fixed + m * per_sample + produced
-            peak, still_open = _peak(0, terms, (b,))
-            self.peak.append(peak)
-            self.open.append(still_open)
-        self.fwd_denom, self.t_fwd = _exact_prefix(t_fwd)
-        self.bwd_denom, self.t_bwd = _exact_prefix(t_bwd)
 
     def peak_row(self, lo: int) -> list[int]:
         """Largest single-task working set in [lo, hi), indexed by hi. A read
         from a block below lo is a span input, so it leaves the working set."""
         row = self._peak_rows.get(lo)
         if row is None:
+            if self.peak is None:
+                self.peak = []
+                for b, (classes, keys) in enumerate(zip(self._classes, self._class_keys)):
+                    terms = _working_terms([shape for shape, _ in classes],
+                                           [self._acts[key] for key in keys], self.microbatch)
+                    peak, still_open = _peak(0, terms, (b,))
+                    self.peak.append(peak)
+                    self.open.append(still_open)
             n = len(self.peak)
             row = [0] * (n + 1)
             for b in range(lo, n):
@@ -576,15 +590,31 @@ class BlockSet:
         self._profiles: dict[tuple[int, int, int, bool], CostRecord] = {}
         self._params = [0]
         # per block, from its atoms' terms: source bytes (fixed, per sample),
-        # resident with checkpointing off, and (shape, count) per task class
+        # resident with checkpointing off; (shape, count) per task class and
+        # each class's cost key; and (key, count, produced fixed, produced
+        # per sample) per cost key, summed over the key's tasks
         self._source_bytes: list[tuple[int, int]] = []
         self._task_classes: list[list[tuple[TaskShape, int]]] = []
+        self._class_keys: list[list[int]] = []
+        self._key_rows: list[list[tuple[int, int, int, int]]] = []
+        cost_keys: dict[tuple[str, float], tuple] = {}  # -> (index, a task)
         for atoms in self.block_atoms:
             terms = [self.partition.terms[a] for a in atoms]
             sources = [source for _, source, _ in terms]
             self._params.append(self._params[-1] + sum(params for params, _, _ in terms))
             self._source_bytes.append((sum(f for f, _ in sources), sum(s for _, s in sources)))
-            self._task_classes.append(_task_classes(terms, block_of))
+            classes, keys = _task_classes(terms, block_of, cost_keys)
+            self._task_classes.append(classes)
+            self._class_keys.append(keys)
+            rows: dict[int, list[int]] = {}
+            for (shape, count), key in zip(classes, keys):
+                row = rows.setdefault(key, [key, 0, 0, 0])
+                row[1] += count
+                row[2] += count * sum(f for f, _ in shape.produced)
+                row[3] += count * sum(s for _, s in shape.produced)
+            self._key_rows.append([tuple(row) for row in rows.values()])
+        # one task per cost key, in key order
+        self._cost_infos = [info for _, info in cost_keys.values()]
 
     def __len__(self) -> int:
         return len(self.block_atoms)

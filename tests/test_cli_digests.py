@@ -30,6 +30,15 @@ COST_TABLE = {
     "gelu||mb=1": {"microbatch": 1, "t_fwd": 2e-6, "act_bytes": 4096},
     "softmax||mb=1": {"microbatch": 1, "t_fwd": 3e-6},
 }
+# entries past microbatch 1, where the search's larger microbatch sizes look
+# them up: cheap enough to move the plan off microbatch 1, with activation
+# bytes that override three ops' outputs
+COST_TABLE_MB = {
+    "matmul||mb=2": {"microbatch": 2, "t_fwd": 1e-9, "act_bytes": 4096},
+    "gelu||mb=2": {"microbatch": 2, "t_fwd": 1e-9, "act_bytes": 8192},
+    "matmul||mb=4": {"microbatch": 4, "t_fwd": 2e-9, "t_bwd": 3e-9, "act_bytes": 16384},
+    "add_layernorm||mb=4": {"microbatch": 4, "t_fwd": 1e-9, "act_bytes": 0},
+}
 
 CASES = {
     "bert-ckpt-oracle": [["partition", *BERT, *TIGHT, "--oracle-check", "--out", "run"]],
@@ -37,10 +46,16 @@ CASES = {
                       "--out", "run"]],
     "bert-cost-table": [["partition", *BERT, *TIGHT, "--cost-table", "costs.json",
                          "--out", "run"]],
+    "bert-cost-table-mb": [["partition", *BERT, *TIGHT, "--cost-table", "costs_mb.json",
+                            "--out", "run"]],
     "resnet-50": [["partition", "--graph", "resnet.json", *ROOMY, "--batch-size", "32",
                    "--out", "run"]],
     "sweep": [["sweep", *TIGHT, "--hidden", "64", "--layers", "2,4", "--seq", "16",
                "--vocab", "100", "--batch-size", "8", "--k", "8", "--out", "run"]],
+    # the benchmark's sweep mode
+    "sweep-no-ckpt": [["sweep", *TIGHT, "--hidden", "64", "--layers", "2,4", "--seq", "16",
+                       "--vocab", "100", "--batch-size", "8", "--k", "8",
+                       "--checkpointing", "off", "--out", "run"]],
     "simulate": [["partition", *BERT, *TIGHT, "--out", "plan"],
                  ["simulate", *BERT, *TIGHT, "--plan", "plan/plan.json",
                   "--gantt", "text", "--out", "run"]],
@@ -58,6 +73,12 @@ DIGESTS = {
         "blocks.json": "e123975f573a6603e0e09bcef9760105742532d26150a8ac62be08f70df95249",
         "plan.json": "44eb084a18be7ee5a5b6242c67bb262ce4d27db1d59ab54dbef87f8e063c8c91",
         "report.txt": "f9dfae9247ce921658a884c15f4fcc1ff08d11b99fe9403853dac51024af5914",
+    },
+    "bert-cost-table-mb": {
+        "stdout": "f9f11f7a597bae2b3b89edc8c6dc9223c0fe5cbcbfce4ab6bce4addd68e38d55",
+        "blocks.json": "1f931ecc954b91252bf4e04e7755c06a75e3de66fe3cb386d8a0c5d120872b84",
+        "plan.json": "cb59b6cb91414bd5586c8dcf02cbfc00c71fb48b3a498cca075844a0c1368bb6",
+        "report.txt": "f852689206e3a3a0d2e7c17694b6c195b735f7e1175cced2e23c36bdaec7702c",
     },
     "bert-no-ckpt": {
         "stdout": "243de35ddbd5e9b7588d0689738b6d2bb78cbcadd8dc2671eb4ac3395cf60fca",
@@ -79,6 +100,10 @@ DIGESTS = {
         "stdout": "ea023e2f5e7c23c0b56dfc1532903d22551a2e36a358159d4f8e9bd09766b743",
         "sweep.csv": "4fbfbfe2abfe502fd23e3b7fd72243ca26c92ea180d99ecae768d5c31d1f55dc",
     },
+    "sweep-no-ckpt": {
+        "stdout": "ea023e2f5e7c23c0b56dfc1532903d22551a2e36a358159d4f8e9bd09766b743",
+        "sweep.csv": "05a4d2a33832889b3b21501909c0f96d19a26327fdca26f0d97839a752a91eeb",
+    },
 }
 
 
@@ -90,6 +115,7 @@ def workdir(tmp_path, monkeypatch):
     write_cluster(tmp_path / "tight.json", nodes=2, dpn=2, mem=1572864)
     write_cluster(tmp_path / "roomy.json", nodes=2, dpn=2)
     (tmp_path / "costs.json").write_text(json.dumps(COST_TABLE))
+    (tmp_path / "costs_mb.json").write_text(json.dumps(COST_TABLE_MB))
     return tmp_path
 
 
